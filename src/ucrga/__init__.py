@@ -41,6 +41,7 @@ from .rga import (
     PropertyReport,
     RgaResult,
     SingularMatrixError,
+    rga_by_method,
     rga_mp,
     rga_strict,
     rga_summary,
@@ -91,6 +92,7 @@ __all__ = [
     "parse_csv",
     "permute",
     "pinv",
+    "rga_by_method",
     "rga_mp",
     "rga_strict",
     "rga_summary",

@@ -17,6 +17,7 @@ from .inverse import TINY, check_gi_identities, uc_inverse
 from .matrix import (
     DimensionError,
     MatrixFormatError,
+    apply_diag,
     format_csv,
     matrix_from_json,
     matrix_to_json,
@@ -27,11 +28,8 @@ from .rga import (
     Check,
     RgaResult,
     SingularMatrixError,
-    rga_mp,
-    rga_strict,
+    rga_by_method,
     rga_summary,
-    rga_uc,
-    scaling_invariance_residual,
 )
 from .svd import DEFAULT_RANK_TOL, SvdConvergenceError, pinv
 
@@ -105,13 +103,13 @@ def _load_matrix(path: str, fmt: str | None) -> np.ndarray:
 
 
 def _compute(g: np.ndarray, method: str, args) -> RgaResult:
-    if method == "strict":
-        return rga_strict(g, rel_tol=args.rank_tol)
-    if method == "mp":
-        return rga_mp(g, rel_tol=args.rank_tol)
-    return rga_uc(
-        g, rank_tol=args.rank_tol, balance_tol=args.balance_tol, max_iter=args.max_iter
+    return rga_by_method(
+        g, method, rank_tol=args.rank_tol, balance_tol=args.balance_tol, max_iter=args.max_iter
     )
+
+
+def _relative_change(new: np.ndarray, base: np.ndarray) -> float:
+    return float(np.abs(new - base).max() / max(np.abs(base).max(), TINY))
 
 
 def _log_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -188,25 +186,22 @@ def _emit_reports(pairs: list[tuple[RgaResult, list[Check]]], args) -> None:
             _print_report(result, checks, args.digits)
 
 
-def _resolve_methods(g: np.ndarray, args) -> list[str]:
-    """Expand --method all, dropping strict (with a warning) when inapplicable."""
+def _results(g: np.ndarray, args) -> list[RgaResult]:
+    """The RGA by each requested method; --method all drops strict (with a
+    warning) when it does not apply."""
     if args.method != "all":
-        return [args.method]
-    methods = ["strict", "mp", "uc"]
+        return [_compute(g, args.method, args)]
+    results = []
     try:
-        rga_strict(g, rel_tol=args.rank_tol)
+        results.append(_compute(g, "strict", args))
     except (DimensionError, SingularMatrixError) as exc:
         print(f"warning: strict RGA skipped: {exc}", file=sys.stderr)
-        methods.remove("strict")
-    return methods
+    return results + [_compute(g, method, args) for method in ("mp", "uc")]
 
 
 def _cmd_compute(args) -> int:
     g = _load_matrix(args.input, args.format)
-    pairs = []
-    for method in _resolve_methods(g, args):
-        result = _compute(g, method, args)
-        pairs.append((result, list(rga_summary(result).checks)))
+    pairs = [(result, list(rga_summary(result).checks)) for result in _results(g, args)]
     _emit_reports(pairs, args)
     return EXIT_OK
 
@@ -214,17 +209,13 @@ def _cmd_compute(args) -> int:
 def _cmd_compare(args) -> int:
     g = _load_matrix(args.input, args.format)
     m, n = g.shape
-    mp_result = rga_mp(g, rel_tol=args.rank_tol)
-    uc_result = rga_uc(
-        g, rank_tol=args.rank_tol, balance_tol=args.balance_tol, max_iter=args.max_iter
-    )
+    mp_result = _compute(g, "mp", args)
+    uc_result = _compute(g, "uc", args)
     difference = float(np.abs(mp_result.rga - uc_result.rga).max())
     rng = np.random.default_rng(args.seed)
-    d = _log_uniform(rng, m)
-    e = _log_uniform(rng, n)
-    kw = dict(rank_tol=args.rank_tol, balance_tol=args.balance_tol, max_iter=args.max_iter)
-    residual_mp = scaling_invariance_residual(g, d, e, method="mp", **kw)
-    residual_uc = scaling_invariance_residual(g, d, e, method="uc", **kw)
+    scaled = apply_diag(_log_uniform(rng, m), g, _log_uniform(rng, n))
+    residual_mp = _relative_change(_compute(scaled, "mp", args).rga, mp_result.rga)
+    residual_uc = _relative_change(_compute(scaled, "uc", args).rga, uc_result.rga)
 
     if args.output == "json":
         report = {
@@ -248,27 +239,21 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _property_checks(g: np.ndarray, method: str, args, rng: np.random.Generator) -> tuple[RgaResult, list[Check]]:
+def _property_checks(g: np.ndarray, result: RgaResult, args, rng: np.random.Generator) -> list[Check]:
     m, n = g.shape
-    result = _compute(g, method, args)
+    method = result.method
     checks = list(rga_summary(result).checks)
 
     row_order = rng.permutation(m)
     col_order = rng.permutation(n)
     permuted = _compute(permute(g, row_order, col_order), method, args).rga
-    expected = permute(result.rga, row_order, col_order)
-    scale = max(np.abs(result.rga).max(), TINY)
-    value = float(np.abs(permuted - expected).max() / scale)
+    value = _relative_change(permuted, permute(result.rga, row_order, col_order))
     checks.append(
         Check("permutation_equivariance", value, PERMUTATION_TOL, value <= PERMUTATION_TOL, False)
     )
 
-    d = _log_uniform(rng, m)
-    e = _log_uniform(rng, n)
-    value = scaling_invariance_residual(
-        g, d, e, method=method,
-        rank_tol=args.rank_tol, balance_tol=args.balance_tol, max_iter=args.max_iter,
-    )
+    scaled = apply_diag(_log_uniform(rng, m), g, _log_uniform(rng, n))
+    value = _relative_change(_compute(scaled, method, args).rga, result.rga)
     checks.append(Check("scaling_invariance", value, SCALING_TOL, value <= SCALING_TOL, False))
 
     if method == "strict":
@@ -288,15 +273,13 @@ def _property_checks(g: np.ndarray, method: str, args, rng: np.random.Generator)
         Check("inverse_identity_gag", residuals.residual_xax, IDENTITY_TOL,
               residuals.residual_xax <= IDENTITY_TOL, False)
     )
-    return result, checks
+    return checks
 
 
 def _cmd_check(args) -> int:
     g = _load_matrix(args.input, args.format)
     rng = np.random.default_rng(args.seed)
-    pairs = []
-    for method in _resolve_methods(g, args):
-        pairs.append(_property_checks(g, method, args, rng))
+    pairs = [(result, _property_checks(g, result, args, rng)) for result in _results(g, args)]
 
     if args.output == "csv":
         lines = ["name,value,threshold,passed,informational"]

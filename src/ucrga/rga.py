@@ -2,15 +2,21 @@
 
 The relative gain array of a gain matrix measures input-output interaction
 strength: entry (i, j) relates the gain from input j to output i with all
-other loops open versus closed. Three routes are provided:
+other loops open versus closed. Three routes are provided, and each computes
+x * pinv(x).T for its own x:
 
-- :func:`rga_strict`  - the classical definition g * inv(g).T, nonsingular
-  square matrices only;
-- :func:`rga_mp`      - Moore-Penrose generalization, any shape, but the
-  result depends on the units chosen for the variables;
-- :func:`rga_uc`      - unit-consistent generalization, any shape, invariant
-  under rescaling of rows and columns, and identical to the strict RGA
-  whenever that one exists.
+- :func:`rga_mp`      - x is the matrix itself: the Moore-Penrose
+  generalization, any shape, but the result depends on the units chosen for
+  the variables;
+- :func:`rga_uc`      - x is the balanced core of the matrix: the
+  unit-consistent generalization, any shape, invariant under rescaling of
+  rows and columns, and identical to the strict RGA whenever that one exists;
+- :func:`rga_strict`  - the unit-consistent route restricted to square
+  matrices whose core has full rank, where it is the classical g * inv(g).T.
+
+The unit-consistent route needs no scale factors. With g = inv(D) @ core @
+inv(E), the unit-consistent inverse is E @ pinv(core) @ D, so entry (i, j) of
+g * uc_inverse(g).T is core[i, j] * pinv(core)[j, i]: the factors cancel.
 
 For every route the element sum of the result equals the numerical rank used
 to form the inverse; for nonsingular square input every row and column sums
@@ -19,14 +25,14 @@ to 1. :func:`rga_summary` packages those checks per matrix, and
 a given diagonal rescaling.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .inverse import TINY, uc_inverse_detailed
+from .balance import DEFAULT_BALANCE_TOL, DEFAULT_MAX_ITER, balance
+from .inverse import TINY
 from .matrix import DimensionError, apply_diag, as_matrix, as_scaling
-from .svd import DEFAULT_RANK_TOL, numerical_rank, pinv_from_factors, svd
-from .balance import DEFAULT_BALANCE_TOL, DEFAULT_MAX_ITER
+from .svd import DEFAULT_RANK_TOL, pinv_from_factors, svd
 
 __all__ = [
     "SUMMARY_TOL",
@@ -37,6 +43,7 @@ __all__ = [
     "rga_strict",
     "rga_mp",
     "rga_uc",
+    "rga_by_method",
     "scaling_invariance_residual",
     "rga_summary",
 ]
@@ -53,10 +60,10 @@ class RgaResult:
     """An RGA matrix with the summary statistics used by the property checks.
 
     ``numerical_rank`` is the rank actually used to form the inverse: the
-    full dimension for the strict route, the rank of the input under the
-    cutoff for the Moore-Penrose route, and the rank of the balanced core for
-    the unit-consistent route. ``balancer_converged`` is vacuously True for
-    the strict and Moore-Penrose routes.
+    rank of the input under the cutoff for the Moore-Penrose route, and the
+    rank of the balanced core for the unit-consistent and strict routes (for
+    strict always the full dimension). ``balancer_converged`` is vacuously
+    True for the Moore-Penrose route.
     """
 
     rga: np.ndarray
@@ -89,11 +96,14 @@ class PropertyReport:
         return all(c.passed for c in self.checks if not c.informational)
 
 
-def _package(rga: np.ndarray, method: str, rank: int, converged: bool) -> RgaResult:
+def _route(x: np.ndarray, method: str, rel_tol: float, converged: bool) -> RgaResult:
+    """The RGA every route computes, x * pinv(x).T, with the rank used for pinv."""
+    inverse, info = pinv_from_factors(svd(x), rel_tol)
+    rga = x * inverse.T
     return RgaResult(
         rga=rga,
         method=method,
-        numerical_rank=rank,
+        numerical_rank=info.numerical_rank,
         row_sums=rga.sum(axis=1),
         col_sums=rga.sum(axis=0),
         element_sum=float(rga.sum()),
@@ -102,25 +112,26 @@ def _package(rga: np.ndarray, method: str, rank: int, converged: bool) -> RgaRes
 
 
 def rga_strict(g, rel_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
-    """Classical RGA: g * inv(g).T with the inverse from Gaussian elimination
-    with partial pivoting.
+    """Classical RGA g * inv(g).T of a nonsingular square matrix, computed by
+    the unit-consistent route, which equals it on such input.
 
-    ``rel_tol`` only guards the precondition: if the numerical rank falls
-    short of the dimension the matrix has no trustworthy inverse and
-    SingularMatrixError points the caller at :func:`rga_mp` / :func:`rga_uc`.
+    ``rel_tol`` only guards the precondition: if the numerical rank of the
+    balanced core falls short of the dimension the matrix has no trustworthy
+    inverse and SingularMatrixError points the caller at :func:`rga_mp` /
+    :func:`rga_uc`. The core does not depend on the units of ``g``, so
+    neither does that decision.
     """
     g = as_matrix(g)
     m, n = g.shape
     if m != n:
         raise DimensionError(f"strict RGA needs a square matrix, got {m}x{n}")
-    info = numerical_rank(svd(g), rel_tol)
-    if info.numerical_rank < n:
+    result = rga_uc(g, rank_tol=rel_tol)
+    if result.numerical_rank < n:
         raise SingularMatrixError(
-            f"matrix is numerically singular (rank {info.numerical_rank} of {n}); "
+            f"matrix is numerically singular (rank {result.numerical_rank} of {n}); "
             "use rga_mp or rga_uc instead"
         )
-    inverse = np.linalg.inv(g)
-    return _package(g * inverse.T, "strict", n, True)
+    return replace(result, method="strict")
 
 
 def rga_mp(g, rel_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
@@ -129,9 +140,7 @@ def rga_mp(g, rel_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
     Defined for any shape and rank, but not invariant under diagonal
     rescaling of rows or columns (see :func:`scaling_invariance_residual`).
     """
-    g = as_matrix(g)
-    inverse, info = pinv_from_factors(svd(g), rel_tol)
-    return _package(g * inverse.T, "mp", info.numerical_rank, True)
+    return _route(as_matrix(g), "mp", rel_tol, True)
 
 
 def rga_uc(
@@ -140,20 +149,34 @@ def rga_uc(
     balance_tol: float = DEFAULT_BALANCE_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> RgaResult:
-    """RGA generalized through the unit-consistent inverse: g * uc_inverse(g).T.
+    """RGA generalized through the unit-consistent inverse: g * uc_inverse(g).T,
+    computed as core * pinv(core).T over the balanced core of ``g``.
 
     Defined for any shape and rank, invariant under diagonal rescaling, and
     equal to :func:`rga_strict` on nonsingular square input. Balancer
     non-convergence (possible only for adversarial sparsity patterns) is
     reported through ``balancer_converged``, never raised.
     """
-    g = as_matrix(g)
-    detail = uc_inverse_detailed(
-        g, rank_tol=rank_tol, balance_tol=balance_tol, max_iter=max_iter
-    )
-    return _package(
-        g * detail.inverse.T, "uc", detail.rank.numerical_rank, detail.decomposition.converged
-    )
+    dec = balance(g, tol=balance_tol, max_iter=max_iter)
+    return _route(dec.core, "uc", rank_tol, dec.converged)
+
+
+def rga_by_method(
+    g,
+    method: str,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    balance_tol: float = DEFAULT_BALANCE_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> RgaResult:
+    """The RGA by the route named ``method`` ('strict', 'mp' or 'uc'); each
+    route takes the tolerances that apply to it and ignores the others."""
+    if method == "strict":
+        return rga_strict(g, rel_tol=rank_tol)
+    if method == "mp":
+        return rga_mp(g, rel_tol=rank_tol)
+    if method == "uc":
+        return rga_uc(g, rank_tol=rank_tol, balance_tol=balance_tol, max_iter=max_iter)
+    raise ValueError(f"method must be 'strict', 'mp' or 'uc', got {method!r}")
 
 
 def scaling_invariance_residual(
@@ -175,18 +198,9 @@ def scaling_invariance_residual(
     g = as_matrix(g)
     d = as_scaling(d, g.shape[0])
     e = as_scaling(e, g.shape[1])
-    if method == "mp":
-        base = rga_mp(g, rel_tol=rank_tol).rga
-        scaled = rga_mp(apply_diag(d, g, e), rel_tol=rank_tol).rga
-    elif method == "uc":
-        kw = dict(rank_tol=rank_tol, balance_tol=balance_tol, max_iter=max_iter)
-        base = rga_uc(g, **kw).rga
-        scaled = rga_uc(apply_diag(d, g, e), **kw).rga
-    elif method == "strict":
-        base = rga_strict(g, rel_tol=rank_tol).rga
-        scaled = rga_strict(apply_diag(d, g, e), rel_tol=rank_tol).rga
-    else:
-        raise ValueError(f"method must be 'strict', 'mp' or 'uc', got {method!r}")
+    kw = dict(rank_tol=rank_tol, balance_tol=balance_tol, max_iter=max_iter)
+    base = rga_by_method(g, method, **kw).rga
+    scaled = rga_by_method(apply_diag(d, g, e), method, **kw).rga
     return float(np.abs(scaled - base).max() / max(np.abs(base).max(), TINY))
 
 

@@ -33,8 +33,9 @@ class SvdConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Full decomposition a = u @ S @ v.T with S the m-by-n rectangular
-    diagonal carrying ``sigma`` (non-increasing, non-negative)."""
+    """Thin decomposition a = (u * sigma) @ v.T: with k = min(m, n), u is
+    m-by-k and v is n-by-k, both with orthonormal columns, and ``sigma``
+    holds the k singular values (non-increasing, non-negative)."""
 
     u: np.ndarray
     sigma: np.ndarray
@@ -55,14 +56,14 @@ class RankInfo:
 
 
 def svd(a) -> SvdFactors:
-    """Full singular value decomposition of a finite real matrix.
+    """Thin singular value decomposition of a finite real matrix.
 
     Deterministic for a fixed input. Raises SvdConvergenceError if the
     underlying iteration does not converge (vanishingly rare for finite input).
     """
     a = as_matrix(a)
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=True)
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
     return SvdFactors(u=u, sigma=s, v=vt.T)
@@ -84,11 +85,10 @@ def pinv_from_factors(
 ) -> tuple[np.ndarray, RankInfo]:
     """Pseudoinverse v @ pinv(S) @ u.T from precomputed factors, plus the rank used."""
     info = numerical_rank(factors, rel_tol)
-    k = factors.sigma.size
-    inverted = np.zeros(k)
+    inverted = np.zeros(factors.sigma.size)
     keep = factors.sigma > info.rank_tolerance
     inverted[keep] = 1.0 / factors.sigma[keep]
-    result = (factors.v[:, :k] * inverted) @ factors.u[:, :k].T
+    result = (factors.v * inverted) @ factors.u.T
     return result, info
 
 

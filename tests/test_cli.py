@@ -1,8 +1,10 @@
 """Tests for the command line interface: exit codes, output formats, determinism."""
 
+import importlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +211,66 @@ def test_check_zero_matrix_passes_trivially(tmp_path, capsys):
 def test_check_strict_on_singular_exits_2(capsys):
     code = main(["check", "--input", ONES_CSV, "--method", "strict"])
     assert code == EXIT_SINGULAR
+
+
+def test_check_all_keeps_strict_under_rescaling(tmp_path, capsys):
+    # the scaling-invariance check rescales rows and columns by factors in
+    # [1e-3, 1e3]; strict's rank gate reads the balanced core, which the
+    # rescaling leaves alone, so strict stays and passes every check
+    path = tmp_path / "gaussian50.csv"
+    g = np.random.default_rng(1000).standard_normal((50, 50))
+    np.savetxt(path, g, fmt="%.17g", delimiter=",")
+    code, reports = run_json(
+        capsys, ["check", "--input", str(path), "--method", "all", "--output", "json"]
+    )
+    assert [r["method"] for r in reports] == ["strict", "mp", "uc"]
+    failed = [
+        (r["method"], c["name"])
+        for r in reports
+        for c in r["checks"]
+        if not c["passed"] and not c["informational"]
+    ]
+    # the Moore-Penrose route is not unit-invariant
+    assert failed == [("mp", "scaling_invariance")]
+    assert code == EXIT_PROPERTY
+
+
+@pytest.mark.parametrize(
+    "argv, balances, factorizations",
+    [
+        # base, permuted, rescaled, and the unit-consistent inverse
+        (["check", "--method", "uc"], 4, 4),
+        # each route's base result and its rescaled copy
+        (["compare"], 2, 4),
+        # strict 3 and 3 (its inverse is Gaussian elimination), mp 0 and 4, uc 4 and 4
+        (["check", "--method", "all"], 7, 11),
+        (["compute", "--method", "all"], 2, 3),
+    ],
+)
+def test_cli_computes_each_result_once(monkeypatch, capsys, argv, balances, factorizations):
+    # the package re-exports balance and svd under their modules' names, so
+    # the modules are taken from the import system
+    modules = [
+        importlib.import_module(f"ucrga.{name}")
+        for name in ("balance", "svd", "inverse", "rga", "cli")
+    ]
+    originals = {"balance": modules[0].balance, "svd": modules[1].svd}
+    calls = Counter()
+
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return wrapper
+
+    for module in modules:
+        for name, original in originals.items():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name))
+    assert main([*argv, "--input", PLANT_CSV, "--output", "json"]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == {"balance": balances, "svd": factorizations}
 
 
 def test_check_csv_output_lists_checks(capsys):

@@ -54,6 +54,15 @@ def test_strict_is_invariant_under_column_rescaling():
     assert np.abs(result.rga - EXACT_RGA_PLANT).max() <= 1e-9
 
 
+def test_strict_rank_gate_does_not_depend_on_units():
+    # the raw matrix's singular values spread over 14 decades and its own
+    # rank under the cutoff is 2; the balanced core, and so the decision,
+    # is that of PLANT
+    result = rga_strict(np.diag([1e-8, 1.0, 1e6]) @ PLANT)
+    assert result.numerical_rank == 3
+    assert np.abs(result.rga - EXACT_RGA_PLANT).max() <= 1e-12
+
+
 def test_strict_rejects_rectangular():
     with pytest.raises(DimensionError, match="square"):
         rga_strict(STACKED_PLANT)
@@ -130,6 +139,13 @@ def test_uc_equals_strict_on_nonsingular_draws():
         strict = rga_strict(g).rga
         uc = rga_uc(g).rga
         assert np.abs(uc - strict).max() <= 1e-8 * np.abs(strict).max()
+
+
+def test_uc_extreme_dynamic_range_is_exact():
+    # every entry of the balanced core is +-1, so no scale factor of
+    # magnitude 1e+-300 enters the result
+    result = rga_uc([[1e300, 1e300, 1e-300]])
+    assert np.abs(result.rga - 1.0 / 3.0).max() <= 1e-15
 
 
 def test_uc_surfaces_balancer_nonconvergence():

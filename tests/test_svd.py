@@ -88,11 +88,12 @@ def test_factor_invariants_on_suite():
     for g, _ in SVD_SUITE[:80]:
         f = svd(g)
         m, n = f.shape
-        assert f.u.shape == (m, m) and f.v.shape == (n, n)
-        assert np.abs(f.u.T @ f.u - np.eye(m)).max() <= 1e-10
-        assert np.abs(f.v.T @ f.v - np.eye(n)).max() <= 1e-10
+        k = min(m, n)
+        # thin factors: only the k singular directions are computed
+        assert f.u.shape == (m, k) and f.v.shape == (n, k) and f.sigma.shape == (k,)
+        assert np.abs(f.u.T @ f.u - np.eye(k)).max() <= 1e-10
+        assert np.abs(f.v.T @ f.v - np.eye(k)).max() <= 1e-10
         assert np.all(np.diff(f.sigma) <= 0) and np.all(f.sigma >= 0)
-        k = f.sigma.size
         reconstruction = (f.u[:, :k] * f.sigma) @ f.v[:, :k].T
         assert np.abs(reconstruction - g).max() <= 1e-10
 
