@@ -41,7 +41,6 @@ from .rga import (
     PropertyReport,
     RgaResult,
     SingularMatrixError,
-    rga_by_method,
     rga_mp,
     rga_strict,
     rga_summary,
@@ -92,7 +91,6 @@ __all__ = [
     "parse_csv",
     "permute",
     "pinv",
-    "rga_by_method",
     "rga_mp",
     "rga_strict",
     "rga_summary",

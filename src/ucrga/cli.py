@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .balance import DEFAULT_BALANCE_TOL, DEFAULT_MAX_ITER
-from .inverse import TINY, check_gi_identities, uc_inverse
+from .inverse import check_gi_identities, relative_change, uc_inverse
 from .matrix import (
     DimensionError,
     MatrixFormatError,
@@ -30,6 +30,7 @@ from .rga import (
     SingularMatrixError,
     rga_by_method,
     rga_summary,
+    strict_from_uc,
 )
 from .svd import DEFAULT_RANK_TOL, SvdConvergenceError, pinv
 
@@ -108,10 +109,6 @@ def _compute(g: np.ndarray, method: str, args) -> RgaResult:
     )
 
 
-def _relative_change(new: np.ndarray, base: np.ndarray) -> float:
-    return float(np.abs(new - base).max() / max(np.abs(base).max(), TINY))
-
-
 def _log_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
     return np.exp(rng.uniform(np.log(CHECK_SCALE_LOW), np.log(CHECK_SCALE_HIGH), size))
 
@@ -187,16 +184,17 @@ def _emit_reports(pairs: list[tuple[RgaResult, list[Check]]], args) -> None:
 
 
 def _results(g: np.ndarray, args) -> list[RgaResult]:
-    """The RGA by each requested method; --method all drops strict (with a
-    warning) when it does not apply."""
+    """The RGA by each requested method; --method all takes strict from the
+    uc result, and drops it (with a warning) when it does not apply."""
     if args.method != "all":
         return [_compute(g, args.method, args)]
+    uc_result = _compute(g, "uc", args)
     results = []
     try:
-        results.append(_compute(g, "strict", args))
+        results.append(strict_from_uc(uc_result))
     except (DimensionError, SingularMatrixError) as exc:
         print(f"warning: strict RGA skipped: {exc}", file=sys.stderr)
-    return results + [_compute(g, method, args) for method in ("mp", "uc")]
+    return results + [_compute(g, "mp", args), uc_result]
 
 
 def _cmd_compute(args) -> int:
@@ -214,8 +212,8 @@ def _cmd_compare(args) -> int:
     difference = float(np.abs(mp_result.rga - uc_result.rga).max())
     rng = np.random.default_rng(args.seed)
     scaled = apply_diag(_log_uniform(rng, m), g, _log_uniform(rng, n))
-    residual_mp = _relative_change(_compute(scaled, "mp", args).rga, mp_result.rga)
-    residual_uc = _relative_change(_compute(scaled, "uc", args).rga, uc_result.rga)
+    residual_mp = relative_change(_compute(scaled, "mp", args).rga, mp_result.rga)
+    residual_uc = relative_change(_compute(scaled, "uc", args).rga, uc_result.rga)
 
     if args.output == "json":
         report = {
@@ -247,13 +245,13 @@ def _property_checks(g: np.ndarray, result: RgaResult, args, rng: np.random.Gene
     row_order = rng.permutation(m)
     col_order = rng.permutation(n)
     permuted = _compute(permute(g, row_order, col_order), method, args).rga
-    value = _relative_change(permuted, permute(result.rga, row_order, col_order))
+    value = relative_change(permuted, permute(result.rga, row_order, col_order))
     checks.append(
         Check("permutation_equivariance", value, PERMUTATION_TOL, value <= PERMUTATION_TOL, False)
     )
 
     scaled = apply_diag(_log_uniform(rng, m), g, _log_uniform(rng, n))
-    value = _relative_change(_compute(scaled, method, args).rga, result.rga)
+    value = relative_change(_compute(scaled, method, args).rga, result.rga)
     checks.append(Check("scaling_invariance", value, SCALING_TOL, value <= SCALING_TOL, False))
 
     if method == "strict":

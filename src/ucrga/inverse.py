@@ -35,6 +35,11 @@ __all__ = [
 TINY = 1e-300
 
 
+def relative_change(new: np.ndarray, base: np.ndarray) -> float:
+    """Max-abs change from ``base`` to ``new``, relative to the largest |base|."""
+    return float(np.abs(new - base).max() / max(np.abs(base).max(), TINY))
+
+
 @dataclass(frozen=True)
 class GiResiduals:
     """Relative residuals of the two defining generalized-inverse identities."""
@@ -103,8 +108,8 @@ def check_gi_identities(a, g) -> GiResiduals:
         raise DimensionError(
             f"inverse candidate must have shape {(a.shape[1], a.shape[0])}, got {g.shape}"
         )
-    residual_axa = float(np.abs(a @ g @ a - a).max() / max(np.abs(a).max(), TINY))
-    residual_xax = float(np.abs(g @ a @ g - g).max() / max(np.abs(g).max(), TINY))
+    residual_axa = relative_change(a @ g @ a, a)
+    residual_xax = relative_change(g @ a @ g, g)
     return GiResiduals(residual_axa=residual_axa, residual_xax=residual_xax)
 
 
@@ -129,4 +134,4 @@ def uc_consistency_residual(
     kw = dict(rank_tol=rank_tol, balance_tol=balance_tol, max_iter=max_iter)
     base = uc_inverse(a, **kw)
     mapped = apply_diag(e, uc_inverse(apply_diag(d, a, e), **kw), d)
-    return float(np.abs(mapped - base).max() / max(np.abs(base).max(), TINY))
+    return relative_change(mapped, base)

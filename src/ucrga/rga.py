@@ -2,21 +2,19 @@
 
 The relative gain array of a gain matrix measures input-output interaction
 strength: entry (i, j) relates the gain from input j to output i with all
-other loops open versus closed. Three routes are provided, and each computes
-x * pinv(x).T for its own x:
+other loops open versus closed. Three routes are provided:
 
-- :func:`rga_mp`      - x is the matrix itself: the Moore-Penrose
-  generalization, any shape, but the result depends on the units chosen for
-  the variables;
-- :func:`rga_uc`      - x is the balanced core of the matrix: the
-  unit-consistent generalization, any shape, invariant under rescaling of
-  rows and columns, and identical to the strict RGA whenever that one exists;
-- :func:`rga_strict`  - the unit-consistent route restricted to square
-  matrices whose core has full rank, where it is the classical g * inv(g).T.
+- :func:`rga_strict`  - the classical definition g * inv(g).T, nonsingular
+  square matrices only;
+- :func:`rga_mp`      - Moore-Penrose generalization, any shape, but the
+  result depends on the units chosen for the variables;
+- :func:`rga_uc`      - unit-consistent generalization, any shape, invariant
+  under rescaling of rows and columns, and identical to the strict RGA
+  whenever that one exists.
 
-The unit-consistent route needs no scale factors. With g = inv(D) @ core @
-inv(E), the unit-consistent inverse is E @ pinv(core) @ D, so entry (i, j) of
-g * uc_inverse(g).T is core[i, j] * pinv(core)[j, i]: the factors cancel.
+Each computes x * pinv(x).T: x is the matrix for MP and its balanced core for
+UC and strict. With g = inv(D) @ core @ inv(E) the unit-consistent inverse is
+E @ pinv(core) @ D, so in the RGA the scale factors cancel exactly.
 
 For every route the element sum of the result equals the numerical rank used
 to form the inverse; for nonsingular square input every row and column sums
@@ -30,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .balance import DEFAULT_BALANCE_TOL, DEFAULT_MAX_ITER, balance
-from .inverse import TINY
+from .inverse import relative_change
 from .matrix import DimensionError, apply_diag, as_matrix, as_scaling
 from .svd import DEFAULT_RANK_TOL, pinv_from_factors, svd
 
@@ -43,7 +41,6 @@ __all__ = [
     "rga_strict",
     "rga_mp",
     "rga_uc",
-    "rga_by_method",
     "scaling_invariance_residual",
     "rga_summary",
 ]
@@ -115,23 +112,12 @@ def rga_strict(g, rel_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
     """Classical RGA g * inv(g).T of a nonsingular square matrix, computed by
     the unit-consistent route, which equals it on such input.
 
-    ``rel_tol`` only guards the precondition: if the numerical rank of the
-    balanced core falls short of the dimension the matrix has no trustworthy
-    inverse and SingularMatrixError points the caller at :func:`rga_mp` /
-    :func:`rga_uc`. The core does not depend on the units of ``g``, so
-    neither does that decision.
+    SingularMatrixError (pointing at :func:`rga_mp` / :func:`rga_uc`) is
+    raised when the balanced core's numerical rank under ``rel_tol`` falls
+    short of the dimension; the core does not depend on the units of ``g``,
+    so neither does that decision.
     """
-    g = as_matrix(g)
-    m, n = g.shape
-    if m != n:
-        raise DimensionError(f"strict RGA needs a square matrix, got {m}x{n}")
-    result = rga_uc(g, rank_tol=rel_tol)
-    if result.numerical_rank < n:
-        raise SingularMatrixError(
-            f"matrix is numerically singular (rank {result.numerical_rank} of {n}); "
-            "use rga_mp or rga_uc instead"
-        )
-    return replace(result, method="strict")
+    return rga_by_method(g, "strict", rank_tol=rel_tol)
 
 
 def rga_mp(g, rel_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
@@ -161,6 +147,19 @@ def rga_uc(
     return _route(dec.core, "uc", rank_tol, dec.converged)
 
 
+def strict_from_uc(result: RgaResult) -> RgaResult:
+    """The UC RGA ``result`` as the strict RGA: square input, full-rank core."""
+    m, n = result.rga.shape
+    if m != n:
+        raise DimensionError(f"strict RGA needs a square matrix, got {m}x{n}")
+    if result.numerical_rank < n:
+        raise SingularMatrixError(
+            f"matrix is numerically singular (rank {result.numerical_rank} of {n}); "
+            "use rga_mp or rga_uc instead"
+        )
+    return replace(result, method="strict")
+
+
 def rga_by_method(
     g,
     method: str,
@@ -168,15 +167,14 @@ def rga_by_method(
     balance_tol: float = DEFAULT_BALANCE_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> RgaResult:
-    """The RGA by the route named ``method`` ('strict', 'mp' or 'uc'); each
-    route takes the tolerances that apply to it and ignores the others."""
-    if method == "strict":
-        return rga_strict(g, rel_tol=rank_tol)
+    """The RGA by the route named ``method`` ('strict', 'mp' or 'uc'); the
+    balance settings apply to the routes that balance, strict and uc."""
     if method == "mp":
         return rga_mp(g, rel_tol=rank_tol)
-    if method == "uc":
-        return rga_uc(g, rank_tol=rank_tol, balance_tol=balance_tol, max_iter=max_iter)
-    raise ValueError(f"method must be 'strict', 'mp' or 'uc', got {method!r}")
+    if method not in ("strict", "uc"):
+        raise ValueError(f"method must be 'strict', 'mp' or 'uc', got {method!r}")
+    result = rga_uc(g, rank_tol=rank_tol, balance_tol=balance_tol, max_iter=max_iter)
+    return strict_from_uc(result) if method == "strict" else result
 
 
 def scaling_invariance_residual(
@@ -201,7 +199,7 @@ def scaling_invariance_residual(
     kw = dict(rank_tol=rank_tol, balance_tol=balance_tol, max_iter=max_iter)
     base = rga_by_method(g, method, **kw).rga
     scaled = rga_by_method(apply_diag(d, g, e), method, **kw).rga
-    return float(np.abs(scaled - base).max() / max(np.abs(base).max(), TINY))
+    return relative_change(scaled, base)
 
 
 def rga_summary(result: RgaResult) -> PropertyReport:

@@ -172,7 +172,7 @@ def test_criterion_06_unit_invariance_property_suite():
 def test_criterion_07_structural_invariants():
     worst_sum = 0.0
     worst_strict_sums = 0.0
-    worst_uc_vs_strict = 0.0
+    worst_vs_classical = 0.0
     nonsingular = 0
     for g, r in SUITE:
         m, n = g.shape
@@ -190,15 +190,19 @@ def test_criterion_07_structural_invariants():
                 np.abs(strict.row_sums - 1.0).max(),
                 np.abs(strict.col_sums - 1.0).max(),
             )
-            rel = np.abs(rga_uc(g).rga - strict.rga).max() / np.abs(strict.rga).max()
-            worst_uc_vs_strict = max(worst_uc_vs_strict, rel)
-    ok = worst_sum <= 1e-7 and worst_strict_sums <= 1e-9 and worst_uc_vs_strict <= 1e-8
+            # strict is computed by the UC route, so both are held against
+            # the classical RGA, formed here by Gaussian elimination
+            classical = g * np.linalg.inv(g).T
+            for result in (strict, rga_uc(g)):
+                rel = np.abs(result.rga - classical).max() / np.abs(classical).max()
+                worst_vs_classical = max(worst_vs_classical, rel)
+    ok = worst_sum <= 1e-7 and worst_strict_sums <= 1e-9 and worst_vs_classical <= 1e-8
     assert report(
         7,
         ok,
         f"element sum vs rank worst {worst_sum:.2e} (<=1e-7); strict sums worst "
-        f"{worst_strict_sums:.2e} (<=1e-9) and UC-vs-strict worst "
-        f"{worst_uc_vs_strict:.2e} (<=1e-8) over {nonsingular} nonsingular draws",
+        f"{worst_strict_sums:.2e} (<=1e-9) and UC/strict vs g * inv(g).T worst "
+        f"{worst_vs_classical:.2e} (<=1e-8) over {nonsingular} nonsingular draws",
     )
 
 

@@ -235,6 +235,16 @@ def test_check_all_keeps_strict_under_rescaling(tmp_path, capsys):
     assert code == EXIT_PROPERTY
 
 
+def test_all_balances_strict_and_uc_alike(capsys):
+    # strict is taken from the uc result, so the balancing flags bound both
+    argv = ["compute", "--input", PLANT_CSV, "--method", "all", "--max-iter", "1"]
+    code, reports = run_json(capsys, [*argv, "--output", "json"])
+    assert code == EXIT_OK
+    converged = {r["method"]: r["balancer_converged"] for r in reports}
+    assert converged == {"strict": False, "mp": True, "uc": False}
+    assert reports[0]["rga"] == reports[2]["rga"]
+
+
 @pytest.mark.parametrize(
     "argv, balances, factorizations",
     [
@@ -242,9 +252,12 @@ def test_check_all_keeps_strict_under_rescaling(tmp_path, capsys):
         (["check", "--method", "uc"], 4, 4),
         # each route's base result and its rescaled copy
         (["compare"], 2, 4),
-        # strict 3 and 3 (its inverse is Gaussian elimination), mp 0 and 4, uc 4 and 4
-        (["check", "--method", "all"], 7, 11),
-        (["compute", "--method", "all"], 2, 3),
+        # the base uc result (strict is taken from it) and the base mp result,
+        # then the checks: strict 2 and 2 (its inverse is Gaussian
+        # elimination), mp 0 and 3, uc 3 and 3
+        (["check", "--method", "all"], 6, 10),
+        # strict is taken from the uc result
+        (["compute", "--method", "all"], 1, 2),
     ],
 )
 def test_cli_computes_each_result_once(monkeypatch, capsys, argv, balances, factorizations):

@@ -132,13 +132,15 @@ def test_uc_stacked_blocks_are_identical():
 
 
 def test_uc_equals_strict_on_nonsingular_draws():
+    # strict is computed by the unit-consistent route, so both are held
+    # against the classical RGA, formed here by Gaussian elimination
     rng = np.random.default_rng(23)
     for _ in range(30):
         n = int(rng.integers(2, 7))
         g = rng.standard_normal((n, n))
-        strict = rga_strict(g).rga
-        uc = rga_uc(g).rga
-        assert np.abs(uc - strict).max() <= 1e-8 * np.abs(strict).max()
+        classical = g * np.linalg.inv(g).T
+        for result in (rga_strict(g), rga_uc(g)):
+            assert np.abs(result.rga - classical).max() <= 1e-8 * np.abs(classical).max()
 
 
 def test_uc_extreme_dynamic_range_is_exact():
