@@ -27,13 +27,10 @@ from .matrix import (
     as_permutation,
     as_scaling,
     format_csv,
-    hadamard,
-    matmul,
     matrix_from_json,
     matrix_to_json,
     parse_csv,
     permute,
-    transpose,
 )
 from .rga import (
     SUMMARY_TOL,
@@ -83,8 +80,6 @@ __all__ = [
     "balance",
     "check_gi_identities",
     "format_csv",
-    "hadamard",
-    "matmul",
     "matrix_from_json",
     "matrix_to_json",
     "numerical_rank",
@@ -97,7 +92,6 @@ __all__ = [
     "rga_uc",
     "scaling_invariance_residual",
     "svd",
-    "transpose",
     "uc_consistency_residual",
     "uc_inverse",
     "uc_inverse_detailed",

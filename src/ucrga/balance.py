@@ -67,6 +67,12 @@ class ScalingDecomposition:
         """Undo the scaling: diag(1/left_scale) @ core @ diag(1/right_scale)."""
         return np.exp(-self.left_log)[:, None] * self.core * np.exp(-self.right_log)[None, :]
 
+    def unscale_inverse(self, core_inverse: np.ndarray) -> np.ndarray:
+        """Map an inverse of the core back to the input's units:
+        diag(right_scale) @ core_inverse @ diag(left_scale), where entry (j, i)
+        picks up exp(right_log[j] + left_log[i])."""
+        return core_inverse * np.exp(self.right_log[:, None] + self.left_log[None, :])
+
 
 def balance(
     a,
@@ -86,8 +92,8 @@ def balance(
     confirms convergence.
     """
     a = as_matrix(a)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 

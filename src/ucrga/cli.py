@@ -1,19 +1,20 @@
 """Command line interface: compute, compare, and check relative gain arrays
 from CSV or JSON matrix files.
 
-Exit codes: 0 success, 1 input/parse failure, 2 strict method on a singular
-matrix, 3 property-check failure.
+Exit codes: 0 success, 1 input/parse failure (usage errors included), 2 strict
+method on a singular matrix, 3 property-check failure.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .balance import DEFAULT_BALANCE_TOL, DEFAULT_MAX_ITER
-from .inverse import check_gi_identities, relative_change, uc_inverse
+from .inverse import check_gi_identities, relative_change
 from .matrix import (
     DimensionError,
     MatrixFormatError,
@@ -32,7 +33,7 @@ from .rga import (
     rga_summary,
     strict_from_uc,
 )
-from .svd import DEFAULT_RANK_TOL, SvdConvergenceError, pinv
+from .svd import DEFAULT_RANK_TOL, SvdConvergenceError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -79,9 +80,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--balance-tol", type=float, default=DEFAULT_BALANCE_TOL)
         p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
         p.add_argument("--seed", type=int, default=42, help="seed for randomized checks")
-        p.add_argument("--digits", type=int, default=4, help="decimals in table output")
+        p.add_argument("--digits", type=_digits, default=4, help="decimals in table output")
         p.set_defaults(handler=handler)
     return parser
+
+
+def _digits(text: str) -> int:
+    """The --digits value: a non-negative integer, checked before any output."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _load_matrix(path: str, fmt: str | None) -> np.ndarray:
@@ -113,16 +121,6 @@ def _log_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
     return np.exp(rng.uniform(np.log(CHECK_SCALE_LOW), np.log(CHECK_SCALE_HIGH), size))
 
 
-def _check_dict(c: Check) -> dict:
-    return {
-        "name": c.name,
-        "value": c.value,
-        "threshold": c.threshold,
-        "passed": c.passed,
-        "informational": c.informational,
-    }
-
-
 def _report_dict(result: RgaResult, checks: list[Check]) -> dict:
     m, n = result.rga.shape
     return {
@@ -134,7 +132,7 @@ def _report_dict(result: RgaResult, checks: list[Check]) -> dict:
         "col_sums": [float(x) for x in result.col_sums],
         "element_sum": float(result.element_sum),
         "balancer_converged": bool(result.balancer_converged),
-        "checks": [_check_dict(c) for c in checks],
+        "checks": [asdict(c) for c in checks],
     }
 
 
@@ -214,22 +212,20 @@ def _cmd_compare(args) -> int:
     scaled = apply_diag(_log_uniform(rng, m), g, _log_uniform(rng, n))
     residual_mp = relative_change(_compute(scaled, "mp", args).rga, mp_result.rga)
     residual_uc = relative_change(_compute(scaled, "uc", args).rga, uc_result.rga)
+    pairs = [(r, list(rga_summary(r).checks)) for r in (mp_result, uc_result)]
 
     if args.output == "json":
         report = {
-            "mp": _report_dict(mp_result, list(rga_summary(mp_result).checks)),
-            "uc": _report_dict(uc_result, list(rga_summary(uc_result).checks)),
+            "mp": _report_dict(*pairs[0]),
+            "uc": _report_dict(*pairs[1]),
             "max_abs_difference": difference,
             "scaling_invariance_residual": {"mp": residual_mp, "uc": residual_uc},
             "seed": args.seed,
         }
         print(json.dumps(report, indent=2))
-    elif args.output == "csv":
-        print(f"# method=mp\n{format_csv(mp_result.rga)}\n# method=uc\n{format_csv(uc_result.rga)}", end="")
-    else:
-        _print_report(mp_result, list(rga_summary(mp_result).checks), args.digits)
-        print()
-        _print_report(uc_result, list(rga_summary(uc_result).checks), args.digits)
+        return EXIT_OK
+    _emit_reports(pairs, args)
+    if args.output == "table":
         print()
         print(f"max abs difference (mp vs uc): {difference:.{args.digits}f}")
         print(f"scaling invariance residual mp: {residual_mp:.3e} (seed {args.seed})")
@@ -245,33 +241,19 @@ def _property_checks(g: np.ndarray, result: RgaResult, args, rng: np.random.Gene
     row_order = rng.permutation(m)
     col_order = rng.permutation(n)
     permuted = _compute(permute(g, row_order, col_order), method, args).rga
-    value = relative_change(permuted, permute(result.rga, row_order, col_order))
-    checks.append(
-        Check("permutation_equivariance", value, PERMUTATION_TOL, value <= PERMUTATION_TOL, False)
-    )
-
+    permuted_change = relative_change(permuted, permute(result.rga, row_order, col_order))
     scaled = apply_diag(_log_uniform(rng, m), g, _log_uniform(rng, n))
-    value = relative_change(_compute(scaled, method, args).rga, result.rga)
-    checks.append(Check("scaling_invariance", value, SCALING_TOL, value <= SCALING_TOL, False))
-
-    if method == "strict":
-        inverse = np.linalg.inv(g)
-    elif method == "mp":
-        inverse = pinv(g, rel_tol=args.rank_tol)
-    else:
-        inverse = uc_inverse(
-            g, rank_tol=args.rank_tol, balance_tol=args.balance_tol, max_iter=args.max_iter
+    scaled_change = relative_change(_compute(scaled, method, args).rga, result.rga)
+    residuals = check_gi_identities(g, result.inverse)
+    return checks + [
+        Check(name, value, threshold, value <= threshold, False)
+        for name, value, threshold in (
+            ("permutation_equivariance", permuted_change, PERMUTATION_TOL),
+            ("scaling_invariance", scaled_change, SCALING_TOL),
+            ("inverse_identity_aga", residuals.residual_axa, IDENTITY_TOL),
+            ("inverse_identity_gag", residuals.residual_xax, IDENTITY_TOL),
         )
-    residuals = check_gi_identities(g, inverse)
-    checks.append(
-        Check("inverse_identity_aga", residuals.residual_axa, IDENTITY_TOL,
-              residuals.residual_axa <= IDENTITY_TOL, False)
-    )
-    checks.append(
-        Check("inverse_identity_gag", residuals.residual_xax, IDENTITY_TOL,
-              residuals.residual_xax <= IDENTITY_TOL, False)
-    )
-    return checks
+    ]
 
 
 def _cmd_check(args) -> int:
@@ -297,18 +279,19 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a singular strict input
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.handler(args)
     except SingularMatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: rerun with --method uc (or mp) for singular input", file=sys.stderr)
         return EXIT_SINGULAR
-    except (MatrixFormatError, DimensionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SvdConvergenceError as exc:
+    except (ValueError, SvdConvergenceError) as exc:
+        # MatrixFormatError and DimensionError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -50,12 +50,17 @@ class GiResiduals:
 
 @dataclass(frozen=True)
 class UcInverseResult:
-    """Unit-consistent inverse together with the balancing decomposition and
-    the numerical rank used when inverting the balanced core."""
+    """The pseudoinverse of the balanced core, the balancing decomposition,
+    and the numerical rank used when inverting the core."""
 
-    inverse: np.ndarray
+    core_pinv: np.ndarray
     decomposition: ScalingDecomposition
     rank: RankInfo
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """The unit-consistent inverse E @ pinv(core) @ D, formed on each read."""
+        return self.decomposition.unscale_inverse(self.core_pinv)
 
 
 def uc_inverse_detailed(
@@ -72,12 +77,9 @@ def uc_inverse_detailed(
     knobs. If balancing does not converge the inverse is still produced,
     and ``decomposition.converged`` carries the flag.
     """
-    a = as_matrix(a)
     dec = balance(a, tol=balance_tol, max_iter=max_iter)
     core_pinv, rank = pinv_from_factors(svd(dec.core), rank_tol)
-    # entry (j, i) picks up exp(right_log[j] + left_log[i]): E @ pinv(core) @ D
-    scale = np.exp(dec.right_log[:, None] + dec.left_log[None, :])
-    return UcInverseResult(inverse=core_pinv * scale, decomposition=dec, rank=rank)
+    return UcInverseResult(core_pinv=core_pinv, decomposition=dec, rank=rank)
 
 
 def uc_inverse(

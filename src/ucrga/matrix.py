@@ -1,9 +1,12 @@
-"""Dense real matrix plumbing: validation, CSV/JSON interchange, elementary algebra.
+"""Dense real matrix plumbing: validation, CSV/JSON interchange, diagonal
+scaling and permutation.
 
 Matrices are plain 2-D C-ordered float64 numpy arrays. Diagonal scalings are
 1-D arrays of nonzero factors; permutations are 1-D arrays holding a bijection
 of 0..n-1. Every function here is pure and never mutates its arguments.
 """
+
+import re
 
 import numpy as np
 
@@ -17,9 +20,6 @@ __all__ = [
     "format_csv",
     "matrix_to_json",
     "matrix_from_json",
-    "hadamard",
-    "matmul",
-    "transpose",
     "apply_diag",
     "permute",
 ]
@@ -31,6 +31,10 @@ class MatrixFormatError(ValueError):
 
 class DimensionError(ValueError):
     """Raised when operand shapes or lengths are incompatible."""
+
+
+# a CSV field: [+-]digits[.digits][(e|E)[+-]digits], ASCII digits only
+CSV_NUMBER = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
 def as_matrix(values) -> np.ndarray:
@@ -74,8 +78,10 @@ def as_permutation(mapping, size: int | None = None) -> np.ndarray:
 def parse_csv(text: str) -> np.ndarray:
     """Parse comma-separated matrix text, one row per line.
 
-    Fields may carry surrounding whitespace; scientific notation is accepted.
-    LF and CRLF line endings both work; trailing blank lines are ignored.
+    Each field is an ASCII decimal literal (see ``CSV_NUMBER``), optionally
+    in scientific notation and surrounded by whitespace; ``inf``, ``nan`` and
+    literals that overflow are rejected as non-finite. LF and CRLF line
+    endings both work; trailing blank lines are ignored.
     """
     lines = text.splitlines()
     while lines and lines[-1].strip() == "":
@@ -98,12 +104,14 @@ def parse_csv(text: str) -> np.ndarray:
             try:
                 value = float(stripped)
             except ValueError:
-                raise MatrixFormatError(
-                    f"row {lineno}, column {colno}: cannot parse {stripped!r} as a number"
-                ) from None
-            if not np.isfinite(value):
+                value = None
+            if value is not None and not np.isfinite(value):
                 raise MatrixFormatError(
                     f"row {lineno}, column {colno}: non-finite value {stripped!r}"
+                )
+            if value is None or not CSV_NUMBER.fullmatch(stripped):
+                raise MatrixFormatError(
+                    f"row {lineno}, column {colno}: cannot parse {stripped!r} as a number"
                 )
             row.append(value)
         rows.append(row)
@@ -130,40 +138,25 @@ def matrix_from_json(obj) -> np.ndarray:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except KeyError as exc:
         raise MatrixFormatError(f"JSON matrix is missing key {exc}") from None
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not all(_is_json_number(k, int) and k > 0 for k in (rows, cols)):
         raise MatrixFormatError("JSON matrix rows/cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise MatrixFormatError(
             f"JSON matrix data must be a list of length rows*cols ({rows * cols})"
         )
+    if not all(_is_json_number(x, (int, float)) for x in data):
+        raise MatrixFormatError("JSON matrix data must contain only numbers")
     try:
         flat = [float(x) for x in data]
-    except (TypeError, ValueError):
-        raise MatrixFormatError("JSON matrix data must contain only numbers") from None
+    except OverflowError:
+        raise MatrixFormatError("JSON matrix data must be within the float range") from None
     return as_matrix(np.array(flat).reshape(rows, cols))
 
 
-def hadamard(a, b) -> np.ndarray:
-    """Elementwise product of two equal-shaped matrices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionError(f"elementwise product needs equal shapes, got {a.shape} and {b.shape}")
-    return a * b
-
-
-def matmul(a, b) -> np.ndarray:
-    """Standard matrix product."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dimensions differ: {a.shape} times {b.shape}")
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    """Transpose (as a new array)."""
-    return np.asarray(a, dtype=float).T.copy()
+def _is_json_number(value, kinds) -> bool:
+    """True for a JSON number of the given Python types; JSON true and false
+    load as bool, a subclass of int, and are not numbers."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def apply_diag(left, a, right) -> np.ndarray:

@@ -14,7 +14,9 @@ other loops open versus closed. Three routes are provided:
 
 Each computes x * pinv(x).T: x is the matrix for MP and its balanced core for
 UC and strict. With g = inv(D) @ core @ inv(E) the unit-consistent inverse is
-E @ pinv(core) @ D, so in the RGA the scale factors cancel exactly.
+E @ pinv(core) @ D, so in the RGA the scale factors cancel exactly. Each
+result keeps pinv(x) and the scaling, so the generalized inverse the RGA was
+formed from is at hand as ``result.inverse`` without a second factorization.
 
 For every route the element sum of the result equals the numerical rank used
 to form the inverse; for nonsingular square input every row and column sums
@@ -27,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .balance import DEFAULT_BALANCE_TOL, DEFAULT_MAX_ITER, balance
-from .inverse import relative_change
+from .balance import DEFAULT_BALANCE_TOL, DEFAULT_MAX_ITER, ScalingDecomposition
+from .inverse import relative_change, uc_inverse_detailed
 from .matrix import DimensionError, apply_diag, as_matrix, as_scaling
 from .svd import DEFAULT_RANK_TOL, pinv_from_factors, svd
 
@@ -59,8 +61,9 @@ class RgaResult:
     ``numerical_rank`` is the rank actually used to form the inverse: the
     rank of the input under the cutoff for the Moore-Penrose route, and the
     rank of the balanced core for the unit-consistent and strict routes (for
-    strict always the full dimension). ``balancer_converged`` is vacuously
-    True for the Moore-Penrose route.
+    strict always the full dimension). ``core_pinv`` is pinv(x) for the x the
+    RGA was formed from, and ``decomposition`` the balancing that gave x
+    (None for the Moore-Penrose route, whose x is the input itself).
     """
 
     rga: np.ndarray
@@ -69,7 +72,21 @@ class RgaResult:
     row_sums: np.ndarray
     col_sums: np.ndarray
     element_sum: float
-    balancer_converged: bool
+    core_pinv: np.ndarray
+    decomposition: ScalingDecomposition | None
+
+    @property
+    def balancer_converged(self) -> bool:
+        """Whether balancing converged; vacuously True for the Moore-Penrose route."""
+        return self.decomposition is None or self.decomposition.converged
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """The generalized inverse the RGA was formed from, formed on each read:
+        pinv(g) for the Moore-Penrose route, E @ pinv(core) @ D otherwise."""
+        if self.decomposition is None:
+            return self.core_pinv
+        return self.decomposition.unscale_inverse(self.core_pinv)
 
 
 @dataclass(frozen=True)
@@ -93,18 +110,24 @@ class PropertyReport:
         return all(c.passed for c in self.checks if not c.informational)
 
 
-def _route(x: np.ndarray, method: str, rel_tol: float, converged: bool) -> RgaResult:
+def _route(
+    x: np.ndarray,
+    x_pinv: np.ndarray,
+    rank: int,
+    method: str,
+    decomposition: ScalingDecomposition | None,
+) -> RgaResult:
     """The RGA every route computes, x * pinv(x).T, with the rank used for pinv."""
-    inverse, info = pinv_from_factors(svd(x), rel_tol)
-    rga = x * inverse.T
+    rga = x * x_pinv.T
     return RgaResult(
         rga=rga,
         method=method,
-        numerical_rank=info.numerical_rank,
+        numerical_rank=rank,
         row_sums=rga.sum(axis=1),
         col_sums=rga.sum(axis=0),
         element_sum=float(rga.sum()),
-        balancer_converged=converged,
+        core_pinv=x_pinv,
+        decomposition=decomposition,
     )
 
 
@@ -126,7 +149,9 @@ def rga_mp(g, rel_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
     Defined for any shape and rank, but not invariant under diagonal
     rescaling of rows or columns (see :func:`scaling_invariance_residual`).
     """
-    return _route(as_matrix(g), "mp", rel_tol, True)
+    g = as_matrix(g)
+    g_pinv, info = pinv_from_factors(svd(g), rel_tol)
+    return _route(g, g_pinv, info.numerical_rank, "mp", None)
 
 
 def rga_uc(
@@ -143,8 +168,9 @@ def rga_uc(
     non-convergence (possible only for adversarial sparsity patterns) is
     reported through ``balancer_converged``, never raised.
     """
-    dec = balance(g, tol=balance_tol, max_iter=max_iter)
-    return _route(dec.core, "uc", rank_tol, dec.converged)
+    detail = uc_inverse_detailed(g, rank_tol=rank_tol, balance_tol=balance_tol, max_iter=max_iter)
+    dec = detail.decomposition
+    return _route(dec.core, detail.core_pinv, detail.rank.numerical_rank, "uc", dec)
 
 
 def strict_from_uc(result: RgaResult) -> RgaResult:
@@ -216,27 +242,13 @@ def rga_summary(result: RgaResult) -> PropertyReport:
     row_dev = float(np.abs(result.row_sums - 1.0).max())
     col_dev = float(np.abs(result.col_sums - 1.0).max())
     rank_dev = float(abs(result.element_sum - result.numerical_rank))
-    checks = (
-        Check(
-            name="row_sum_deviation",
-            value=row_dev,
-            threshold=SUMMARY_TOL,
-            passed=row_dev <= SUMMARY_TOL,
-            informational=not full_rank_square,
-        ),
-        Check(
-            name="col_sum_deviation",
-            value=col_dev,
-            threshold=SUMMARY_TOL,
-            passed=col_dev <= SUMMARY_TOL,
-            informational=not full_rank_square,
-        ),
-        Check(
-            name="element_sum_vs_rank",
-            value=rank_dev,
-            threshold=SUMMARY_TOL,
-            passed=rank_dev <= SUMMARY_TOL,
-            informational=False,
-        ),
+    return PropertyReport(
+        checks=tuple(
+            Check(name, value, SUMMARY_TOL, value <= SUMMARY_TOL, informational)
+            for name, value, informational in (
+                ("row_sum_deviation", row_dev, not full_rank_square),
+                ("col_sum_deviation", col_dev, not full_rank_square),
+                ("element_sum_vs_rank", rank_dev, False),
+            )
+        )
     )
-    return PropertyReport(checks=checks)

@@ -71,8 +71,8 @@ def svd(a) -> SvdFactors:
 
 def numerical_rank(factors: SvdFactors, rel_tol: float = DEFAULT_RANK_TOL) -> RankInfo:
     """Count singular values strictly above rel_tol * largest_sv * max(m, n)."""
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not 0.0 < rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     m, n = factors.shape
     largest = float(factors.sigma[0]) if factors.sigma.size else 0.0
     cutoff = rel_tol * largest * max(m, n)

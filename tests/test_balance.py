@@ -155,8 +155,10 @@ def test_extreme_dynamic_range_survives_log_space():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        balance(np.ones((2, 2)), tol=0.0)
+    # a NaN tolerance is never reached, so the sweep would run to max_iter
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            balance(np.ones((2, 2)), tol=tol)
     with pytest.raises(ValueError):
         balance(np.ones((2, 2)), max_iter=0)
     with pytest.raises(ValueError):

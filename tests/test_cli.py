@@ -133,6 +133,58 @@ def test_ragged_csv_exits_1(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("bool.json", '{"rows": true, "cols": 1, "data": [2]}'),
+        ("strings.json", '{"rows": 1, "cols": 2, "data": ["1e3", "1_0"]}'),
+        ("underscore.csv", "1_000,2\n3,4\n"),
+        ("arabic_indic.csv", "\u0663,2\n3,4\n"),
+    ],
+)
+def test_non_numeric_input_exits_1_with_no_output(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["compute", "--input", str(path), "--output", "json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute"],
+        ["compute", "--input", PLANT_CSV, "--method", "exact"],
+        ["compute", "--input", PLANT_CSV, "--digits", "-1"],
+    ],
+    ids=["missing-input", "unknown-method", "negative-digits"],
+)
+def test_usage_errors_exit_1_before_any_output(capsys, argv):
+    # argparse's own code, 2, is the one documented for strict on singular input
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_help_exits_0(capsys):
+    assert main(["check", "--help"]) == EXIT_OK
+    assert "--input" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--rank-tol", "nan"), ("--rank-tol", "inf"), ("--balance-tol", "nan")]
+)
+def test_non_finite_tolerance_exits_1(capsys, flag, value):
+    # a NaN rank cutoff reported rank 0 and an all-zero RGA with exit code 0,
+    # and a NaN balance tolerance ran every one of the max_iter sweeps
+    assert main(["check", "--input", PLANT_CSV, "--output", "json", flag, value]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_strict_on_singular_exits_2(capsys):
     code = main(["compute", "--input", ONES_CSV, "--method", "strict"])
     assert code == EXIT_SINGULAR
@@ -248,16 +300,21 @@ def test_all_balances_strict_and_uc_alike(capsys):
 @pytest.mark.parametrize(
     "argv, balances, factorizations",
     [
-        # base, permuted, rescaled, and the unit-consistent inverse
-        (["check", "--method", "uc"], 4, 4),
+        # base, permuted and rescaled; the identity checks read the base
+        # result's own inverse
+        (["check", "--method", "uc"], 3, 3),
         # each route's base result and its rescaled copy
         (["compare"], 2, 4),
         # the base uc result (strict is taken from it) and the base mp result,
-        # then the checks: strict 2 and 2 (its inverse is Gaussian
-        # elimination), mp 0 and 3, uc 3 and 3
-        (["check", "--method", "all"], 6, 10),
+        # then each route's permuted and rescaled copies: strict 2 and 2,
+        # mp 0 and 2, uc 2 and 2
+        (["check", "--method", "all"], 5, 8),
         # strict is taken from the uc result
         (["compute", "--method", "all"], 1, 2),
+        # base, permuted and rescaled, none balanced
+        (["check", "--method", "mp"], 0, 3),
+        # the uc route's base, permuted and rescaled results
+        (["check", "--method", "strict"], 3, 3),
     ],
 )
 def test_cli_computes_each_result_once(monkeypatch, capsys, argv, balances, factorizations):
@@ -283,7 +340,7 @@ def test_cli_computes_each_result_once(monkeypatch, capsys, argv, balances, fact
                 monkeypatch.setattr(module, name, counted(name))
     assert main([*argv, "--input", PLANT_CSV, "--output", "json"]) == EXIT_OK
     capsys.readouterr()
-    assert calls == {"balance": balances, "svd": factorizations}
+    assert (calls["balance"], calls["svd"]) == (balances, factorizations)
 
 
 def test_check_csv_output_lists_checks(capsys):

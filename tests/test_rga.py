@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ucrga.inverse import uc_inverse
 from ucrga.matrix import DimensionError, apply_diag, permute
 from ucrga.rga import (
     SingularMatrixError,
@@ -12,6 +13,7 @@ from ucrga.rga import (
     rga_uc,
     scaling_invariance_residual,
 )
+from ucrga.svd import pinv
 
 from golden import (
     COLUMN_FACTORS,
@@ -154,6 +156,25 @@ def test_uc_surfaces_balancer_nonconvergence():
     result = rga_uc(STACKED_PLANT, max_iter=1)
     assert not result.balancer_converged
     assert np.all(np.isfinite(result.rga))
+
+
+# ------------------------------------------------------------------ inverses
+
+def test_each_result_carries_the_inverse_it_was_formed_from():
+    for g, _ in SUITE[:40]:
+        uc = rga_uc(g)
+        assert np.array_equal(uc.inverse, uc_inverse(g))
+        mp = rga_mp(g)
+        assert np.array_equal(mp.inverse, pinv(g))
+        assert mp.decomposition is None and mp.balancer_converged
+    # strict's inverse is held against Gaussian elimination, formed here
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        g = rng.standard_normal((n, n))
+        classical = np.linalg.inv(g)
+        inverse = rga_strict(g).inverse
+        assert np.abs(inverse - classical).max() <= 1e-10 * np.abs(classical).max()
 
 
 # ----------------------------------------------------------------- residuals

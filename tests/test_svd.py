@@ -59,8 +59,10 @@ def test_numerical_rank_stacked_plant():
 
 
 def test_numerical_rank_requires_positive_tolerance():
-    with pytest.raises(ValueError):
-        numerical_rank(svd(PLANT), rel_tol=0.0)
+    # a NaN cutoff would keep no singular value and report rank 0
+    for rel_tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            numerical_rank(svd(PLANT), rel_tol=rel_tol)
 
 
 def test_pinv_identity():
