@@ -26,8 +26,10 @@ print("matrix with absurdly mixed units (entries span ~13 orders of magnitude):"
 print(messy)
 print()
 
+# every entry is nonzero, so the balance is two-way centering of log|a| in
+# closed form; only a matrix with zero entries is balanced by sweeping
 dec = balance(messy)
-print(f"balanced after {dec.iterations} sweeps (converged: {dec.converged})")
+print(f"balanced in closed form (converged: {dec.converged})")
 print("core (unit geometric mean in every row and column):")
 print(dec.core)
 print("row scale factors:   ", dec.left_scale)

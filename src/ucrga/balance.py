@@ -11,11 +11,12 @@ rescaling rows or columns of ``a`` changes only the accumulated scale vectors,
 never the core. That canonical property is what the unit-consistent inverse
 is built on.
 
-The iteration alternates column centering and row centering of log|a| over
-the nonzero support, accumulating the shifts into the scale vectors. Working
-on logarithms is the entire numerical point: magnitudes spanning hundreds of
-orders of magnitude are just moderate-sized logs, and exp is applied once at
-the end.
+When every entry is nonzero, two-way centering of log|a| gives the balance
+in closed form. Otherwise an iteration alternates column centering and row
+centering of log|a| over the nonzero support, accumulating the shifts into
+the scale vectors. Working on logarithms is the entire numerical point:
+magnitudes spanning hundreds of orders of magnitude are just moderate-sized
+logs, and exp is applied once at the end.
 """
 
 from dataclasses import dataclass
@@ -45,7 +46,8 @@ class ScalingDecomposition:
     ``left_log[i] + right_log[j]``, which are well-defined. ``final_shift``
     is the last sweep's summed mean absolute correction (the convergence
     measure), and ``converged`` records whether it reached the tolerance
-    within the iteration budget.
+    within the iteration budget. A fully dense matrix balances in closed
+    form, reported as one sweep with zero shift.
     """
 
     left_log: np.ndarray
@@ -87,9 +89,12 @@ def balance(
     run, reported via ``converged=False`` rather than an exception). Rows and
     columns with no nonzero entries are left untouched, and a mean over an
     empty selection counts as zero shift, so all-zero input converges
-    immediately. A fully dense matrix balances exactly in the first sweep:
-    row centering preserves the column means there, so the second sweep only
-    confirms convergence.
+    immediately.
+
+    A fully dense matrix takes no sweep: there the fixed point is two-way
+    centering of log|a|, with ``right_log`` the negated column means and
+    ``left_log`` the grand mean minus the row means. It is reported as
+    converged after one sweep with zero shift, whatever ``max_iter``.
     """
     a = as_matrix(a)
     if not 0.0 < tol < np.inf:
@@ -100,6 +105,23 @@ def balance(
     m, n = a.shape
     magnitude = np.abs(a)
     support = magnitude > 0.0
+    if support.all():
+        logmag = np.log(magnitude, out=magnitude)
+        row_means = logmag.mean(axis=1)
+        left_log = row_means.mean() - row_means
+        right_log = -logmag.mean(axis=0)
+        logmag += left_log[:, None]
+        logmag += right_log
+        core = np.copysign(np.exp(logmag, out=logmag), a, out=logmag)
+        return ScalingDecomposition(
+            left_log=left_log,
+            right_log=right_log,
+            core=core,
+            converged=True,
+            iterations=1,
+            final_shift=0.0,
+        )
+
     logmag = np.zeros((m, n))
     np.log(magnitude, out=logmag, where=support)
 

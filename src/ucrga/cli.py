@@ -233,18 +233,25 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _property_checks(g: np.ndarray, result: RgaResult, args, rng: np.random.Generator) -> list[Check]:
-    m, n = g.shape
+def _property_checks(
+    g: np.ndarray,
+    result: RgaResult,
+    args,
+    orders: tuple[np.ndarray, np.ndarray],
+    scaled: np.ndarray,
+) -> list[Check]:
+    """The summary checks, equivariance under the permutation ``orders``,
+    invariance under the rescaled copy ``scaled``, and the generalized-inverse
+    identities of x and pinv(x), x being the matrix the RGA was formed from:
+    g for mp, the balanced core (free of units) for uc and strict."""
     method = result.method
     checks = list(rga_summary(result).checks)
 
-    row_order = rng.permutation(m)
-    col_order = rng.permutation(n)
-    permuted = _compute(permute(g, row_order, col_order), method, args).rga
-    permuted_change = relative_change(permuted, permute(result.rga, row_order, col_order))
-    scaled = apply_diag(_log_uniform(rng, m), g, _log_uniform(rng, n))
+    permuted = _compute(permute(g, *orders), method, args).rga
+    permuted_change = relative_change(permuted, permute(result.rga, *orders))
     scaled_change = relative_change(_compute(scaled, method, args).rga, result.rga)
-    residuals = check_gi_identities(g, result.inverse)
+    x = g if result.decomposition is None else result.decomposition.core
+    residuals = check_gi_identities(x, result.core_pinv)
     return checks + [
         Check(name, value, threshold, value <= threshold, False)
         for name, value, threshold in (
@@ -258,8 +265,15 @@ def _property_checks(g: np.ndarray, result: RgaResult, args, rng: np.random.Gene
 
 def _cmd_check(args) -> int:
     g = _load_matrix(args.input, args.format)
+    m, n = g.shape
+    # one draw per check, shared by every route, so a route's verdict does
+    # not depend on which other routes ran
     rng = np.random.default_rng(args.seed)
-    pairs = [(result, _property_checks(g, result, args, rng)) for result in _results(g, args)]
+    orders = (rng.permutation(m), rng.permutation(n))
+    scaled = apply_diag(_log_uniform(rng, m), g, _log_uniform(rng, n))
+    pairs = [
+        (result, _property_checks(g, result, args, orders, scaled)) for result in _results(g, args)
+    ]
 
     if args.output == "csv":
         lines = ["name,value,threshold,passed,informational"]

@@ -62,11 +62,19 @@ def svd(a) -> SvdFactors:
     underlying iteration does not converge (vanishingly rare for finite input).
     """
     a = as_matrix(a)
+    m, n = a.shape
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        if m < n:
+            # LAPACK reduces a tall matrix by QR and a wide one by LQ, and the
+            # QR path is the faster: factor a.T = w @ diag(s) @ zt and swap
+            w, s, zt = np.linalg.svd(a.T, full_matrices=False)
+            u, v = zt.T, w
+        else:
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+            v = vt.T
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
-    return SvdFactors(u=u, sigma=s, v=vt.T)
+    return SvdFactors(u=u, sigma=s, v=v)
 
 
 def numerical_rank(factors: SvdFactors, rel_tol: float = DEFAULT_RANK_TOL) -> RankInfo:

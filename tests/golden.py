@@ -25,6 +25,11 @@ STACKED_PLANT = np.hstack([PLANT, RESCALED_PLANT])
 # the same wide matrix with the rescaled block first
 STACKED_PLANT_SWAPPED = np.hstack([RESCALED_PLANT, PLANT])
 
+# STACKED_PLANT with entry (0, 0) zeroed: a support that is not dense, so
+# balancing it sweeps (13 sweeps to the default tolerance, not one)
+SPARSE_STACKED_PLANT = STACKED_PLANT.copy()
+SPARSE_STACKED_PLANT[0, 0] = 0.0
+
 # exact RGA of PLANT via integer cofactors (see module docstring)
 EXACT_RGA_PLANT = np.array([[-42.0, -41, 100], [56, 16, -55], [3, 42, -28]]) / 17
 

@@ -6,7 +6,7 @@ import pytest
 from ucrga.balance import balance
 from ucrga.matrix import apply_diag, permute
 
-from golden import SCALED_ONES3, STACKED_PLANT
+from golden import SCALED_ONES3, SPARSE_STACKED_PLANT
 from reference_impl import reference_uc_rga
 from suites import log_uniform, rank_controlled_suite
 
@@ -129,21 +129,41 @@ def test_reconstruction_on_suite():
 
 
 def test_matches_reference_on_suite():
-    for g, _ in SUITE[:40]:
+    # every suite member is dense, so it takes the closed form, reported as
+    # one sweep with zero shift; the loop-style reference sweeps to the same
+    # fixed point
+    wide = np.random.default_rng(30).standard_normal((30, 1000))
+    for g in [g for g, _ in SUITE[:40]] + [wide]:
+        assert np.all(g != 0)
         dec = balance(g)
+        assert dec.converged and dec.iterations == 1 and dec.final_shift == 0.0
         _, core_ref, u_ref, v_ref, _ = reference_uc_rga(g)
         assert np.abs(dec.core - core_ref).max() <= 1e-12
         assert np.abs(dec.left_log - u_ref).max() <= 1e-12
         assert np.abs(dec.right_log - v_ref).max() <= 1e-12
 
 
+@pytest.mark.parametrize("decades", [8.0, 150.0])
+def test_dense_core_is_unit_invariant_over_wide_ranges(decades):
+    rng = np.random.default_rng(557)
+    for g, _ in SUITE[:60]:
+        m, n = g.shape
+        d = 10.0 ** rng.uniform(-decades, decades, m)
+        e = 10.0 ** rng.uniform(-decades, decades, n)
+        core = balance(g).core
+        dec = balance(apply_diag(d, g, e))
+        assert dec.converged
+        assert np.abs(dec.core - core).max() <= 1e-12 * np.abs(core).max()
+
+
 def test_iteration_cap_reported_not_raised():
-    dec = balance(STACKED_PLANT, max_iter=1)
+    # a dense support balances in closed form, so the cap is held on a sparse one
+    dec = balance(SPARSE_STACKED_PLANT, max_iter=1)
     assert not dec.converged
     assert dec.iterations == 1
     assert dec.final_shift > 1e-15
     # the accounting between core and scale logs holds at every stage
-    assert relative_gap(dec.reconstruct(), STACKED_PLANT) <= 1e-10
+    assert relative_gap(dec.reconstruct(), SPARSE_STACKED_PLANT) <= 1e-10
 
 
 def test_extreme_dynamic_range_survives_log_space():

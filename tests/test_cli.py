@@ -5,16 +5,18 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ucrga import cli
 from ucrga.cli import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_SINGULAR, main
 from ucrga.matrix import matrix_from_json, parse_csv
 from ucrga.rga import rga_mp, rga_strict, rga_uc
 
-from golden import EXACT_RGA_PLANT, MP_RGA_SCALED_ONES3, ONES3
+from golden import EXACT_RGA_PLANT, MP_RGA_SCALED_ONES3, ONES3, PLANT
 
 FIXTURES = Path(__file__).resolve().parents[1] / "demos" / "matrices"
 
@@ -287,9 +289,14 @@ def test_check_all_keeps_strict_under_rescaling(tmp_path, capsys):
     assert code == EXIT_PROPERTY
 
 
-def test_all_balances_strict_and_uc_alike(capsys):
-    # strict is taken from the uc result, so the balancing flags bound both
-    argv = ["compute", "--input", PLANT_CSV, "--method", "all", "--max-iter", "1"]
+def test_all_balances_strict_and_uc_alike(tmp_path, capsys):
+    # strict is taken from the uc result, so the balancing flags bound both;
+    # a dense plant balances in closed form, so the plant has a zero entry
+    path = tmp_path / "sparse_plant.csv"
+    sparse = PLANT.copy()
+    sparse[0, 0] = 0.0
+    np.savetxt(path, sparse, fmt="%.17g", delimiter=",")
+    argv = ["compute", "--input", str(path), "--method", "all", "--max-iter", "1"]
     code, reports = run_json(capsys, [*argv, "--output", "json"])
     assert code == EXIT_OK
     converged = {r["method"]: r["balancer_converged"] for r in reports}
@@ -383,3 +390,68 @@ def test_module_entry_point():
     assert proc.returncode == EXIT_OK
     report = json.loads(proc.stdout)
     assert report["method"] == "uc"
+
+
+def test_check_all_gives_each_route_its_single_route_verdict(tmp_path, capsys):
+    # the rescaling draw once depended on which routes ran before: this plant
+    # failed mp's scaling check under --method mp and passed it under all
+    rng = np.random.default_rng(2024)
+    g = rng.standard_normal((4, 4)) @ rng.standard_normal((4, 4))
+    g = 10 ** rng.uniform(-3, 3, 4)[:, None] * g * 10 ** rng.uniform(-3, 3, 4)[None, :]
+    path = tmp_path / "rescaled4.csv"
+    np.savetxt(path, g, fmt="%.17g", delimiter=",")
+    argv = ["check", "--input", str(path), "--output", "json"]
+    reports = {}
+    for method in ("strict", "mp", "uc"):
+        code, reports[method] = run_json(capsys, [*argv, "--method", method])
+        assert code == (EXIT_PROPERTY if method == "mp" else EXIT_OK)
+    code, together = run_json(capsys, [*argv, "--method", "all"])
+    assert code == EXIT_PROPERTY
+    assert {r["method"]: r for r in together} == reports
+
+
+def _extreme_unit_plant_csv(tmp_path):
+    """PLANT with rows and columns rescaled so its entries span 3e-300 to 8e300."""
+    path = tmp_path / "extreme.csv"
+    g = np.array([1e200, 1.0, 1e-200])[:, None] * PLANT * np.array([1e-100, 1.0, 1e100])
+    np.savetxt(path, g, fmt="%.17g", delimiter=",")
+    return str(path)
+
+
+def test_check_identities_do_not_depend_on_units(tmp_path, capsys):
+    # in raw units a @ x @ a overflowed and failed uc and strict; on the
+    # core, which the rescaling leaves alone, both hold to rounding
+    path = _extreme_unit_plant_csv(tmp_path)
+    argv = ["check", "--input", path, "--method", "all", "--output", "json"]
+    code, reports = run_json(capsys, argv)
+    assert code == EXIT_OK
+    for report in reports:
+        if report["method"] != "mp":
+            identities = [c for c in report["checks"] if c["name"].startswith("inverse_identity")]
+            assert len(identities) == 2 and all(c["value"] <= 1e-14 for c in identities)
+
+
+@pytest.mark.parametrize("plant", ["raw", "extreme"])
+def test_check_identities_catch_a_perturbed_inverse(monkeypatch, tmp_path, capsys, plant):
+    # a 1e-6 relative change to any one entry of the core's pseudoinverse must
+    # fail an identity check, however the plant's units are chosen
+    path = PLANT_CSV if plant == "raw" else _extreme_unit_plant_csv(tmp_path)
+    compute = cli.rga_by_method
+    for i in range(3):
+        for j in range(3):
+
+            def perturbed(*args, **kwargs):
+                result = compute(*args, **kwargs)
+                core_pinv = result.core_pinv.copy()
+                core_pinv[i, j] *= 1.0 + 1e-6
+                return replace(result, core_pinv=core_pinv)
+
+            monkeypatch.setattr(cli, "rga_by_method", perturbed)
+            code, reports = run_json(
+                capsys, ["check", "--input", path, "--method", "all", "--output", "json"]
+            )
+            assert code == EXIT_PROPERTY
+            for report in reports:
+                failed = {c["name"] for c in report["checks"] if not c["passed"]}
+                if report["method"] != "mp":
+                    assert failed and failed <= {"inverse_identity_aga", "inverse_identity_gag"}

@@ -87,7 +87,12 @@ def test_pinv_singular_diagonal():
 
 
 def test_factor_invariants_on_suite():
-    for g, _ in SVD_SUITE[:80]:
+    # wide input is factored through its transpose, so wide, single-row and
+    # single-column shapes are held to the same thin contract
+    rng = np.random.default_rng(2000)
+    shapes = ((30, 1000), (50, 2000), (1, 9), (1, 1000), (9, 1), (1000, 1))
+    extra = [rng.standard_normal(shape) for shape in shapes]
+    for g in [g for g, _ in SVD_SUITE[:80]] + extra:
         f = svd(g)
         m, n = f.shape
         k = min(m, n)
@@ -98,6 +103,7 @@ def test_factor_invariants_on_suite():
         assert np.all(np.diff(f.sigma) <= 0) and np.all(f.sigma >= 0)
         reconstruction = (f.u[:, :k] * f.sigma) @ f.v[:, :k].T
         assert np.abs(reconstruction - g).max() <= 1e-10
+        assert np.abs(f.sigma - np.linalg.svd(g, compute_uv=False)).max() <= 1e-13 * f.sigma[0]
 
 
 def test_penrose_conditions_on_suite():
