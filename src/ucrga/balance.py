@@ -14,7 +14,9 @@ is built on.
 When every entry is nonzero, two-way centering of log|a| gives the balance
 in closed form. Otherwise an iteration alternates column centering and row
 centering of log|a| over the nonzero support, accumulating the shifts into
-the scale vectors. Working on logarithms is the entire numerical point:
+the scale vectors. The iteration holds only the list of nonzeros (their
+positions and log magnitudes), so each sweep costs O(nnz) rather than
+O(mn). Working on logarithms is the entire numerical point:
 magnitudes spanning hundreds of orders of magnitude are just moderate-sized
 logs, and exp is applied once at the end.
 """
@@ -89,7 +91,8 @@ def balance(
     run, reported via ``converged=False`` rather than an exception). Rows and
     columns with no nonzero entries are left untouched, and a mean over an
     empty selection counts as zero shift, so all-zero input converges
-    immediately.
+    immediately. The sweep runs over the list of nonzeros, gathered once per
+    call, so each sweep costs O(nnz) time and memory.
 
     A fully dense matrix takes no sweep: there the fixed point is two-way
     centering of log|a|, with ``right_log`` the negated column means and
@@ -122,13 +125,16 @@ def balance(
             final_shift=0.0,
         )
 
-    logmag = np.zeros((m, n))
-    np.log(magnitude, out=logmag, where=support)
-
-    row_counts = support.sum(axis=1)
-    col_counts = support.sum(axis=0)
-    rows = row_counts > 0
-    cols = col_counts > 0
+    r_idx, c_idx = np.nonzero(support)
+    vals = np.log(magnitude[r_idx, c_idx])
+    row_counts = np.bincount(r_idx, minlength=m)
+    col_counts = np.bincount(c_idx, minlength=n)
+    # a mean over no lines counts as zero shift
+    nonempty_rows = max(int(np.count_nonzero(row_counts)), 1)
+    nonempty_cols = max(int(np.count_nonzero(col_counts)), 1)
+    # empty lines get a zero mean, so their scale factors stay at zero
+    row_counts = np.maximum(row_counts, 1)
+    col_counts = np.maximum(col_counts, 1)
 
     left_log = np.zeros(m)
     right_log = np.zeros(n)
@@ -137,21 +143,22 @@ def balance(
     converged = False
     while iterations < max_iter:
         iterations += 1
-        col_means = logmag[:, cols].sum(axis=0) / col_counts[cols]
-        logmag[:, cols] -= col_means * support[:, cols]
-        right_log[cols] -= col_means
-        shift = float(np.abs(col_means).mean()) if col_means.size else 0.0
+        col_means = np.bincount(c_idx, vals, n) / col_counts
+        vals -= col_means[c_idx]
+        right_log -= col_means
+        shift = float(np.abs(col_means).sum()) / nonempty_cols
 
-        row_means = logmag[rows, :].sum(axis=1) / row_counts[rows]
-        logmag[rows, :] -= row_means[:, None] * support[rows, :]
-        left_log[rows] -= row_means
-        shift += float(np.abs(row_means).mean()) if row_means.size else 0.0
+        row_means = np.bincount(r_idx, vals, m) / row_counts
+        vals -= row_means[r_idx]
+        left_log -= row_means
+        shift += float(np.abs(row_means).sum()) / nonempty_rows
 
         if shift <= tol:
             converged = True
             break
 
-    core = np.sign(a) * np.exp(logmag)
+    core = np.zeros((m, n))
+    core[r_idx, c_idx] = np.copysign(np.exp(vals), a[r_idx, c_idx])
     return ScalingDecomposition(
         left_log=left_log,
         right_log=right_log,

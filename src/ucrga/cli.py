@@ -6,8 +6,10 @@ method on a singular matrix, 3 property-check failure.
 """
 
 import argparse
+import functools
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -117,7 +119,9 @@ def _compute(g: np.ndarray, method: str, args) -> RgaResult:
     )
 
 
-def _log_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
+# quoted, so that importing the CLI does not load numpy.random: only the
+# commands that draw numbers need it
+def _log_uniform(rng: "np.random.Generator", size: int) -> np.ndarray:
     return np.exp(rng.uniform(np.log(CHECK_SCALE_LOW), np.log(CHECK_SCALE_HIGH), size))
 
 
@@ -236,20 +240,21 @@ def _cmd_compare(args) -> int:
 def _property_checks(
     g: np.ndarray,
     result: RgaResult,
-    args,
+    copy_of: Callable[[str, str], RgaResult],
     orders: tuple[np.ndarray, np.ndarray],
-    scaled: np.ndarray,
 ) -> list[Check]:
     """The summary checks, equivariance under the permutation ``orders``,
-    invariance under the rescaled copy ``scaled``, and the generalized-inverse
-    identities of x and pinv(x), x being the matrix the RGA was formed from:
-    g for mp, the balanced core (free of units) for uc and strict."""
+    invariance under rescaling, and the generalized-inverse identities of x
+    and pinv(x), x being the matrix the RGA was formed from: g for mp, the
+    balanced core (free of units) for uc and strict. ``copy_of(variant,
+    method)`` gives the method's result on the 'permuted' or the 'scaled'
+    copy of g."""
     method = result.method
     checks = list(rga_summary(result).checks)
 
-    permuted = _compute(permute(g, *orders), method, args).rga
+    permuted = copy_of("permuted", method).rga
     permuted_change = relative_change(permuted, permute(result.rga, *orders))
-    scaled_change = relative_change(_compute(scaled, method, args).rga, result.rga)
+    scaled_change = relative_change(copy_of("scaled", method).rga, result.rga)
     x = g if result.decomposition is None else result.decomposition.core
     residuals = check_gi_identities(x, result.core_pinv)
     return checks + [
@@ -270,9 +275,21 @@ def _cmd_check(args) -> int:
     # not depend on which other routes ran
     rng = np.random.default_rng(args.seed)
     orders = (rng.permutation(m), rng.permutation(n))
-    scaled = apply_diag(_log_uniform(rng, m), g, _log_uniform(rng, n))
+    variants = {
+        "permuted": permute(g, *orders),
+        "scaled": apply_diag(_log_uniform(rng, m), g, _log_uniform(rng, n)),
+    }
+    computed = functools.cache(lambda variant, route: _compute(variants[variant], route, args))
+
+    def copy_of(variant: str, method: str) -> RgaResult:
+        # strict is the uc result relabelled, so under --method all each
+        # copy is balanced and factored once
+        if method == "strict":
+            return strict_from_uc(computed(variant, "uc"))
+        return computed(variant, method)
+
     pairs = [
-        (result, _property_checks(g, result, args, orders, scaled)) for result in _results(g, args)
+        (result, _property_checks(g, result, copy_of, orders)) for result in _results(g, args)
     ]
 
     if args.output == "csv":

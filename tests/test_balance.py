@@ -8,9 +8,10 @@ from ucrga.matrix import apply_diag, permute
 
 from golden import SCALED_ONES3, SPARSE_STACKED_PLANT
 from reference_impl import reference_uc_rga
-from suites import log_uniform, rank_controlled_suite
+from suites import log_uniform, rank_controlled_suite, sparse_suite
 
 SUITE = rank_controlled_suite()
+SPARSE = sparse_suite()
 
 
 def relative_gap(actual, expected):
@@ -183,3 +184,38 @@ def test_parameter_validation():
         balance(np.ones((2, 2)), max_iter=0)
     with pytest.raises(ValueError):
         balance([[1.0, np.inf]])
+
+
+@pytest.mark.parametrize("name", list(SPARSE))
+def test_sparse_sweep_matches_reference(name):
+    # the sweep over the list of nonzeros reaches the loop-style reference's
+    # fixed point, in about as many sweeps
+    g = SPARSE[name]
+    assert np.any(g == 0)
+    dec = balance(g)
+    assert dec.converged and dec.final_shift <= 1e-15
+    _, core_ref, u_ref, v_ref, sweeps_ref = reference_uc_rga(g)
+    assert abs(dec.iterations - sweeps_ref) <= 2
+    assert np.abs(dec.core - core_ref).max() <= 1e-12
+    support = g != 0
+    logs = (dec.left_log[:, None] + dec.right_log)[support]
+    logs_ref = (u_ref[:, None] + v_ref)[support]
+    assert np.abs(logs - logs_ref).max() <= 1e-12
+
+
+def test_sparse_sweep_leaves_empty_lines_untouched():
+    seen_rows = seen_cols = 0
+    for g in SPARSE.values():
+        dec = balance(g)
+        np.testing.assert_array_equal(np.sign(dec.core), np.sign(g))
+        empty_rows = ~(g != 0).any(axis=1)
+        empty_cols = ~(g != 0).any(axis=0)
+        np.testing.assert_array_equal(dec.left_log[empty_rows], 0.0)
+        np.testing.assert_array_equal(dec.right_log[empty_cols], 0.0)
+        np.testing.assert_array_equal(dec.core[empty_rows], 0.0)
+        np.testing.assert_array_equal(dec.core[:, empty_cols], 0.0)
+        assert relative_gap(dec.reconstruct(), g) <= 1e-10
+        seen_rows += empty_rows.sum()
+        seen_cols += empty_cols.sum()
+    # the suite holds an empty row and an empty column to leave untouched
+    assert seen_rows >= 1 and seen_cols >= 1

@@ -313,9 +313,9 @@ def test_all_balances_strict_and_uc_alike(tmp_path, capsys):
         # each route's base result and its rescaled copy
         (["compare"], 2, 4),
         # the base uc result (strict is taken from it) and the base mp result,
-        # then each route's permuted and rescaled copies: strict 2 and 2,
-        # mp 0 and 2, uc 2 and 2
-        (["check", "--method", "all"], 5, 8),
+        # then the permuted and rescaled copies: mp 0 and 2, uc 2 and 2, and
+        # strict takes uc's
+        (["check", "--method", "all"], 3, 6),
         # strict is taken from the uc result
         (["compute", "--method", "all"], 1, 2),
         # base, permuted and rescaled, none balanced
@@ -390,6 +390,14 @@ def test_module_entry_point():
     assert proc.returncode == EXIT_OK
     report = json.loads(proc.stdout)
     assert report["method"] == "uc"
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # only compare and check draw numbers, so only they pay for numpy.random
+    code = "import sys, ucrga.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_check_all_gives_each_route_its_single_route_verdict(tmp_path, capsys):

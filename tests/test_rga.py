@@ -27,9 +27,11 @@ from golden import (
     SPARSE_STACKED_PLANT,
     STACKED_PLANT,
 )
-from suites import log_uniform, rank_controlled_suite, scaling_pairs_for
+from reference_impl import reference_uc_rga
+from suites import log_uniform, rank_controlled_suite, scaling_pairs_for, sparse_suite
 
 SUITE = rank_controlled_suite()
+SPARSE = sparse_suite()
 PAIRS = scaling_pairs_for(SUITE)
 
 
@@ -144,6 +146,15 @@ def test_uc_equals_strict_on_nonsingular_draws():
         classical = g * np.linalg.inv(g).T
         for result in (rga_strict(g), rga_uc(g)):
             assert np.abs(result.rga - classical).max() <= 1e-8 * np.abs(classical).max()
+
+
+@pytest.mark.parametrize("name", list(SPARSE))
+def test_uc_on_sparse_plants_matches_reference(name):
+    g = SPARSE[name]
+    result = rga_uc(g)
+    assert result.balancer_converged
+    rga_ref = reference_uc_rga(g)[0]
+    assert np.abs(result.rga - rga_ref).max() <= 1e-12 * max(1.0, np.abs(rga_ref).max())
 
 
 def test_uc_extreme_dynamic_range_is_exact():
