@@ -12,9 +12,8 @@ import numpy as np
 from ucrga import (
     check_gi_identities,
     pinv,
-    rga_mp,
+    rga_routes,
     rga_summary,
-    rga_uc,
     scaling_invariance_residual,
     uc_inverse,
 )
@@ -28,7 +27,8 @@ g = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
 print("random 4x6 plant of rank 2")
 print()
 
-for result in (rga_mp(g), rga_uc(g)):
+results = rga_routes(g, ("mp", "uc"))
+for result in results.values():
     print(f"--- {result.method} route ---")
     print(f"rank used: {result.numerical_rank}, element sum: {result.element_sum:.12f}")
     for check in rga_summary(result).checks:
@@ -39,9 +39,10 @@ for result in (rga_mp(g), rga_uc(g)):
 # the discriminating test: a random change of units
 d = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), 4))
 e = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), 6))
+moved = scaling_invariance_residual(g, results, d, e)
 print("random diagonal rescaling, factors spanning 1e-4 .. 1e4")
-print(f"  MP-RGA moves by: {scaling_invariance_residual(g, d, e, method='mp'):.3e}")
-print(f"  UC-RGA moves by: {scaling_invariance_residual(g, d, e, method='uc'):.3e}")
+print(f"  MP-RGA moves by: {moved['mp']:.3e}")
+print(f"  UC-RGA moves by: {moved['uc']:.3e}")
 print()
 
 # both inverses still satisfy the defining generalized-inverse identities

@@ -10,7 +10,7 @@ scaling invariance, generalized-inverse identities, sum rules) that tell the
 routes apart.
 """
 
-from .balance import DEFAULT_BALANCE_TOL, DEFAULT_MAX_ITER, ScalingDecomposition, balance
+from .balance import DEFAULT_BALANCE_TOL, ScalingDecomposition, balance
 from .inverse import (
     GiResiduals,
     UcInverseResult,
@@ -39,6 +39,7 @@ from .rga import (
     RgaResult,
     SingularMatrixError,
     rga_mp,
+    rga_routes,
     rga_strict,
     rga_summary,
     rga_uc,
@@ -58,7 +59,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DEFAULT_BALANCE_TOL",
-    "DEFAULT_MAX_ITER",
     "DEFAULT_RANK_TOL",
     "SUMMARY_TOL",
     "Check",
@@ -87,6 +87,7 @@ __all__ = [
     "permute",
     "pinv",
     "rga_mp",
+    "rga_routes",
     "rga_strict",
     "rga_summary",
     "rga_uc",

@@ -29,13 +29,14 @@ from .matrix import as_matrix
 
 __all__ = [
     "DEFAULT_BALANCE_TOL",
-    "DEFAULT_MAX_ITER",
+    "MAX_SWEEPS",
     "ScalingDecomposition",
     "balance",
 ]
 
 DEFAULT_BALANCE_TOL = 1e-15
-DEFAULT_MAX_ITER = 10000
+# the sweep gives up after this many sweeps and reports converged=False
+MAX_SWEEPS = 10000
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class ScalingDecomposition:
     ``left_log[i] + right_log[j]``, which are well-defined. ``final_shift``
     is the last sweep's summed mean absolute correction (the convergence
     measure), and ``converged`` records whether it reached the tolerance
-    within the iteration budget. A fully dense matrix balances in closed
+    within :data:`MAX_SWEEPS` sweeps. A fully dense matrix balances in closed
     form, reported as one sweep with zero shift.
     """
 
@@ -78,32 +79,27 @@ class ScalingDecomposition:
         return core_inverse * np.exp(self.right_log[:, None] + self.left_log[None, :])
 
 
-def balance(
-    a,
-    tol: float = DEFAULT_BALANCE_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> ScalingDecomposition:
+def balance(a, tol: float = DEFAULT_BALANCE_TOL) -> ScalingDecomposition:
     """Balance a finite real matrix; see the module docstring for the factorization.
 
     Each sweep centers the columns first, then the rows; the sweep's shift is
     the mean absolute column correction plus the mean absolute row correction,
-    and iteration stops once it drops to ``tol`` (or ``max_iter`` sweeps have
-    run, reported via ``converged=False`` rather than an exception). Rows and
-    columns with no nonzero entries are left untouched, and a mean over an
-    empty selection counts as zero shift, so all-zero input converges
-    immediately. The sweep runs over the list of nonzeros, gathered once per
-    call, so each sweep costs O(nnz) time and memory.
+    and iteration stops once it drops to ``tol``. The number of sweeps is
+    capped at :data:`MAX_SWEEPS`, a constant rather than a parameter; reaching
+    it is reported via ``converged=False``, not an exception. Rows and columns
+    with no nonzero entries are left untouched, and a mean over an empty
+    selection counts as zero shift, so all-zero input converges immediately.
+    The sweep runs over the list of nonzeros, gathered once per call, so each
+    sweep costs O(nnz) time and memory.
 
     A fully dense matrix takes no sweep: there the fixed point is two-way
     centering of log|a|, with ``right_log`` the negated column means and
     ``left_log`` the grand mean minus the row means. It is reported as
-    converged after one sweep with zero shift, whatever ``max_iter``.
+    converged after one sweep with zero shift.
     """
     a = as_matrix(a)
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
 
     m, n = a.shape
     magnitude = np.abs(a)
@@ -141,7 +137,7 @@ def balance(
     iterations = 0
     shift = 0.0
     converged = False
-    while iterations < max_iter:
+    while iterations < MAX_SWEEPS:
         iterations += 1
         col_means = np.bincount(c_idx, vals, n) / col_counts
         vals -= col_means[c_idx]

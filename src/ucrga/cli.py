@@ -6,21 +6,18 @@ method on a singular matrix, 3 property-check failure.
 """
 
 import argparse
-import functools
 import json
 import sys
-from collections.abc import Callable
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .balance import DEFAULT_BALANCE_TOL, DEFAULT_MAX_ITER
+from .balance import DEFAULT_BALANCE_TOL
 from .inverse import check_gi_identities, relative_change
 from .matrix import (
     DimensionError,
     MatrixFormatError,
-    apply_diag,
     format_csv,
     matrix_from_json,
     matrix_to_json,
@@ -31,8 +28,9 @@ from .rga import (
     Check,
     RgaResult,
     SingularMatrixError,
-    rga_by_method,
+    rga_routes,
     rga_summary,
+    scaling_invariance_residual,
     strict_from_uc,
 )
 from .svd import DEFAULT_RANK_TOL, SvdConvergenceError
@@ -80,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", choices=["table", "json", "csv"], default="table")
         p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
         p.add_argument("--balance-tol", type=float, default=DEFAULT_BALANCE_TOL)
-        p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
         p.add_argument("--seed", type=int, default=42, help="seed for randomized checks")
         p.add_argument("--digits", type=_digits, default=4, help="decimals in table output")
         p.set_defaults(handler=handler)
@@ -111,12 +108,6 @@ def _load_matrix(path: str, fmt: str | None) -> np.ndarray:
         return parse_csv(text)
     except MatrixFormatError as exc:
         raise MatrixFormatError(f"{path}: {exc}") from None
-
-
-def _compute(g: np.ndarray, method: str, args) -> RgaResult:
-    return rga_by_method(
-        g, method, rank_tol=args.rank_tol, balance_tol=args.balance_tol, max_iter=args.max_iter
-    )
 
 
 # quoted, so that importing the CLI does not load numpy.random: only the
@@ -186,17 +177,17 @@ def _emit_reports(pairs: list[tuple[RgaResult, list[Check]]], args) -> None:
 
 
 def _results(g: np.ndarray, args) -> list[RgaResult]:
-    """The RGA by each requested method; --method all takes strict from the
-    uc result, and drops it (with a warning) when it does not apply."""
+    """The RGA by each requested method; --method all drops strict (with a
+    warning) when it does not apply."""
     if args.method != "all":
-        return [_compute(g, args.method, args)]
-    uc_result = _compute(g, "uc", args)
-    results = []
+        return list(rga_routes(g, [args.method], args.rank_tol, args.balance_tol).values())
+    results = rga_routes(g, ("uc", "mp"), args.rank_tol, args.balance_tol)
     try:
-        results.append(strict_from_uc(uc_result))
+        strict = [strict_from_uc(results["uc"])]
     except (DimensionError, SingularMatrixError) as exc:
         print(f"warning: strict RGA skipped: {exc}", file=sys.stderr)
-    return results + [_compute(g, "mp", args), uc_result]
+        strict = []
+    return strict + [results["mp"], results["uc"]]
 
 
 def _cmd_compute(args) -> int:
@@ -209,21 +200,19 @@ def _cmd_compute(args) -> int:
 def _cmd_compare(args) -> int:
     g = _load_matrix(args.input, args.format)
     m, n = g.shape
-    mp_result = _compute(g, "mp", args)
-    uc_result = _compute(g, "uc", args)
-    difference = float(np.abs(mp_result.rga - uc_result.rga).max())
+    results = rga_routes(g, ("mp", "uc"), args.rank_tol, args.balance_tol)
+    difference = float(np.abs(results["mp"].rga - results["uc"].rga).max())
     rng = np.random.default_rng(args.seed)
-    scaled = apply_diag(_log_uniform(rng, m), g, _log_uniform(rng, n))
-    residual_mp = relative_change(_compute(scaled, "mp", args).rga, mp_result.rga)
-    residual_uc = relative_change(_compute(scaled, "uc", args).rga, uc_result.rga)
-    pairs = [(r, list(rga_summary(r).checks)) for r in (mp_result, uc_result)]
+    d, e = _log_uniform(rng, m), _log_uniform(rng, n)
+    residual = scaling_invariance_residual(g, results, d, e, args.rank_tol, args.balance_tol)
+    pairs = [(r, list(rga_summary(r).checks)) for r in results.values()]
 
     if args.output == "json":
         report = {
             "mp": _report_dict(*pairs[0]),
             "uc": _report_dict(*pairs[1]),
             "max_abs_difference": difference,
-            "scaling_invariance_residual": {"mp": residual_mp, "uc": residual_uc},
+            "scaling_invariance_residual": residual,
             "seed": args.seed,
         }
         print(json.dumps(report, indent=2))
@@ -232,29 +221,26 @@ def _cmd_compare(args) -> int:
     if args.output == "table":
         print()
         print(f"max abs difference (mp vs uc): {difference:.{args.digits}f}")
-        print(f"scaling invariance residual mp: {residual_mp:.3e} (seed {args.seed})")
-        print(f"scaling invariance residual uc: {residual_uc:.3e} (seed {args.seed})")
+        for method, value in residual.items():
+            print(f"scaling invariance residual {method}: {value:.3e} (seed {args.seed})")
     return EXIT_OK
 
 
 def _property_checks(
     g: np.ndarray,
     result: RgaResult,
-    copy_of: Callable[[str, str], RgaResult],
+    permuted: RgaResult,
+    scaled_change: float,
     orders: tuple[np.ndarray, np.ndarray],
 ) -> list[Check]:
-    """The summary checks, equivariance under the permutation ``orders``,
-    invariance under rescaling, and the generalized-inverse identities of x
-    and pinv(x), x being the matrix the RGA was formed from: g for mp, the
-    balanced core (free of units) for uc and strict. ``copy_of(variant,
-    method)`` gives the method's result on the 'permuted' or the 'scaled'
-    copy of g."""
-    method = result.method
+    """The summary checks, equivariance under the permutation ``orders``
+    (``permuted`` being the route's result on the permuted copy of g),
+    invariance under rescaling (``scaled_change`` being the change it made),
+    and the generalized-inverse identities of x and pinv(x), x being the
+    matrix the RGA was formed from: g for mp, the balanced core (free of
+    units) for uc and strict."""
     checks = list(rga_summary(result).checks)
-
-    permuted = copy_of("permuted", method).rga
-    permuted_change = relative_change(permuted, permute(result.rga, *orders))
-    scaled_change = relative_change(copy_of("scaled", method).rga, result.rga)
+    permuted_change = relative_change(permuted.rga, permute(result.rga, *orders))
     x = g if result.decomposition is None else result.decomposition.core
     residuals = check_gi_identities(x, result.core_pinv)
     return checks + [
@@ -271,25 +257,17 @@ def _property_checks(
 def _cmd_check(args) -> int:
     g = _load_matrix(args.input, args.format)
     m, n = g.shape
+    base = {r.method: r for r in _results(g, args)}
     # one draw per check, shared by every route, so a route's verdict does
     # not depend on which other routes ran
     rng = np.random.default_rng(args.seed)
     orders = (rng.permutation(m), rng.permutation(n))
-    variants = {
-        "permuted": permute(g, *orders),
-        "scaled": apply_diag(_log_uniform(rng, m), g, _log_uniform(rng, n)),
-    }
-    computed = functools.cache(lambda variant, route: _compute(variants[variant], route, args))
-
-    def copy_of(variant: str, method: str) -> RgaResult:
-        # strict is the uc result relabelled, so under --method all each
-        # copy is balanced and factored once
-        if method == "strict":
-            return strict_from_uc(computed(variant, "uc"))
-        return computed(variant, method)
-
+    permuted = rga_routes(permute(g, *orders), list(base), args.rank_tol, args.balance_tol)
+    d, e = _log_uniform(rng, m), _log_uniform(rng, n)
+    scaled = scaling_invariance_residual(g, base, d, e, args.rank_tol, args.balance_tol)
     pairs = [
-        (result, _property_checks(g, result, copy_of, orders)) for result in _results(g, args)
+        (result, _property_checks(g, result, permuted[method], scaled[method], orders))
+        for method, result in base.items()
     ]
 
     if args.output == "csv":

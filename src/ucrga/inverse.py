@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import DEFAULT_BALANCE_TOL, DEFAULT_MAX_ITER, ScalingDecomposition, balance
+from .balance import DEFAULT_BALANCE_TOL, ScalingDecomposition, balance
 from .matrix import DimensionError, apply_diag, as_matrix, as_scaling
 from .svd import DEFAULT_RANK_TOL, RankInfo, pinv_from_factors, svd
 
@@ -67,17 +67,17 @@ def uc_inverse_detailed(
     a,
     rank_tol: float = DEFAULT_RANK_TOL,
     balance_tol: float = DEFAULT_BALANCE_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> UcInverseResult:
     """Unit-consistent inverse with full diagnostics.
 
     ``rank_tol`` controls which singular values of the balanced core are
-    inverted; ``balance_tol`` and ``max_iter`` control the balancing sweep.
+    inverted; ``balance_tol`` is the balancing sweep's stopping tolerance.
     They govern different numerical phenomena and are deliberately separate
-    knobs. If balancing does not converge the inverse is still produced,
-    and ``decomposition.converged`` carries the flag.
+    knobs. If balancing does not converge within its fixed sweep cap the
+    inverse is still produced, and ``decomposition.converged`` carries the
+    flag.
     """
-    dec = balance(a, tol=balance_tol, max_iter=max_iter)
+    dec = balance(a, tol=balance_tol)
     core_pinv, rank = pinv_from_factors(svd(dec.core), rank_tol)
     return UcInverseResult(core_pinv=core_pinv, decomposition=dec, rank=rank)
 
@@ -86,16 +86,13 @@ def uc_inverse(
     a,
     rank_tol: float = DEFAULT_RANK_TOL,
     balance_tol: float = DEFAULT_BALANCE_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> np.ndarray:
     """Unit-consistent generalized inverse (n-by-m for m-by-n input).
 
     Equals the ordinary inverse for nonsingular square input. See
     :func:`uc_inverse_detailed` for the diagnostics-bearing variant.
     """
-    return uc_inverse_detailed(
-        a, rank_tol=rank_tol, balance_tol=balance_tol, max_iter=max_iter
-    ).inverse
+    return uc_inverse_detailed(a, rank_tol=rank_tol, balance_tol=balance_tol).inverse
 
 
 def check_gi_identities(a, g) -> GiResiduals:
@@ -121,7 +118,6 @@ def uc_consistency_residual(
     e,
     rank_tol: float = DEFAULT_RANK_TOL,
     balance_tol: float = DEFAULT_BALANCE_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Residual of the diagonal-consistency identity.
 
@@ -133,7 +129,7 @@ def uc_consistency_residual(
     a = as_matrix(a)
     d = as_scaling(d, a.shape[0])
     e = as_scaling(e, a.shape[1])
-    kw = dict(rank_tol=rank_tol, balance_tol=balance_tol, max_iter=max_iter)
+    kw = dict(rank_tol=rank_tol, balance_tol=balance_tol)
     base = uc_inverse(a, **kw)
     mapped = apply_diag(e, uc_inverse(apply_diag(d, a, e), **kw), d)
     return relative_change(mapped, base)

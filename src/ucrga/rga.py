@@ -18,20 +18,24 @@ E @ pinv(core) @ D, so in the RGA the scale factors cancel exactly. Each
 result keeps pinv(x) and the scaling, so the generalized inverse the RGA was
 formed from is at hand as ``result.inverse`` without a second factorization.
 
+The strict RGA is the UC result relabelled (:func:`strict_from_uc`), so
+:func:`rga_routes`, which computes any set of routes by name, balances and
+factors once for strict and uc together.
+
 For every route the element sum of the result equals the numerical rank used
 to form the inverse; for nonsingular square input every row and column sums
 to 1. :func:`rga_summary` packages those checks per matrix, and
-:func:`scaling_invariance_residual` quantifies how much a result moves under
-a given diagonal rescaling.
+:func:`scaling_invariance_residual` quantifies how much each of a set of
+results moves under a given diagonal rescaling.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .balance import DEFAULT_BALANCE_TOL, DEFAULT_MAX_ITER, ScalingDecomposition
+from .balance import DEFAULT_BALANCE_TOL, ScalingDecomposition
 from .inverse import relative_change, uc_inverse_detailed
-from .matrix import DimensionError, apply_diag, as_matrix, as_scaling
+from .matrix import DimensionError, apply_diag, as_matrix
 from .svd import DEFAULT_RANK_TOL, pinv_from_factors, svd
 
 __all__ = [
@@ -43,6 +47,7 @@ __all__ = [
     "rga_strict",
     "rga_mp",
     "rga_uc",
+    "rga_routes",
     "scaling_invariance_residual",
     "rga_summary",
 ]
@@ -131,26 +136,26 @@ def _route(
     )
 
 
-def rga_strict(g, rel_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
+def rga_strict(g, rank_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
     """Classical RGA g * inv(g).T of a nonsingular square matrix, computed by
     the unit-consistent route, which equals it on such input.
 
     SingularMatrixError (pointing at :func:`rga_mp` / :func:`rga_uc`) is
-    raised when the balanced core's numerical rank under ``rel_tol`` falls
+    raised when the balanced core's numerical rank under ``rank_tol`` falls
     short of the dimension; the core does not depend on the units of ``g``,
     so neither does that decision.
     """
-    return rga_by_method(g, "strict", rank_tol=rel_tol)
+    return strict_from_uc(rga_uc(g, rank_tol))
 
 
-def rga_mp(g, rel_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
+def rga_mp(g, rank_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
     """RGA generalized through the Moore-Penrose pseudoinverse: g * pinv(g).T.
 
     Defined for any shape and rank, but not invariant under diagonal
     rescaling of rows or columns (see :func:`scaling_invariance_residual`).
     """
     g = as_matrix(g)
-    g_pinv, info = pinv_from_factors(svd(g), rel_tol)
+    g_pinv, info = pinv_from_factors(svd(g), rank_tol)
     return _route(g, g_pinv, info.numerical_rank, "mp", None)
 
 
@@ -158,7 +163,6 @@ def rga_uc(
     g,
     rank_tol: float = DEFAULT_RANK_TOL,
     balance_tol: float = DEFAULT_BALANCE_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> RgaResult:
     """RGA generalized through the unit-consistent inverse: g * uc_inverse(g).T,
     computed as core * pinv(core).T over the balanced core of ``g``.
@@ -168,7 +172,7 @@ def rga_uc(
     non-convergence (possible only for adversarial sparsity patterns) is
     reported through ``balancer_converged``, never raised.
     """
-    detail = uc_inverse_detailed(g, rank_tol=rank_tol, balance_tol=balance_tol, max_iter=max_iter)
+    detail = uc_inverse_detailed(g, rank_tol=rank_tol, balance_tol=balance_tol)
     dec = detail.decomposition
     return _route(dec.core, detail.core_pinv, detail.rank.numerical_rank, "uc", dec)
 
@@ -186,46 +190,51 @@ def strict_from_uc(result: RgaResult) -> RgaResult:
     return replace(result, method="strict")
 
 
-def rga_by_method(
+def rga_routes(
     g,
-    method: str,
+    methods,
     rank_tol: float = DEFAULT_RANK_TOL,
     balance_tol: float = DEFAULT_BALANCE_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> RgaResult:
-    """The RGA by the route named ``method`` ('strict', 'mp' or 'uc'); the
-    balance settings apply to the routes that balance, strict and uc."""
-    if method == "mp":
-        return rga_mp(g, rel_tol=rank_tol)
-    if method not in ("strict", "uc"):
-        raise ValueError(f"method must be 'strict', 'mp' or 'uc', got {method!r}")
-    result = rga_uc(g, rank_tol=rank_tol, balance_tol=balance_tol, max_iter=max_iter)
-    return strict_from_uc(result) if method == "strict" else result
+) -> dict[str, RgaResult]:
+    """The RGA by each route named in ``methods`` ('strict', 'mp' or 'uc'),
+    keyed in that order.
+
+    Strict and uc share one :func:`rga_uc` result, strict taking it through
+    :func:`strict_from_uc`; ``balance_tol`` applies to those two routes.
+    """
+    for method in methods:
+        if method not in ("strict", "mp", "uc"):
+            raise ValueError(f"method must be 'strict', 'mp' or 'uc', got {method!r}")
+    results = {}
+    uc = None
+    for method in methods:
+        if method == "mp":
+            results[method] = rga_mp(g, rank_tol)
+            continue
+        if uc is None:
+            uc = rga_uc(g, rank_tol, balance_tol)
+        results[method] = strict_from_uc(uc) if method == "strict" else uc
+    return results
 
 
 def scaling_invariance_residual(
     g,
+    base: dict[str, RgaResult],
     d,
     e,
-    method: str = "uc",
     rank_tol: float = DEFAULT_RANK_TOL,
     balance_tol: float = DEFAULT_BALANCE_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
-    """Relative max-abs change of the chosen RGA under row scaling ``d`` and
-    column scaling ``e``.
+) -> dict[str, float]:
+    """Relative max-abs change of each RGA in ``base`` (as :func:`rga_routes`
+    gave them for ``g``) when the routes run again on g under row scaling
+    ``d`` and column scaling ``e``, keyed like ``base``.
 
     Zero in exact arithmetic for the unit-consistent route (and for the
     strict route on nonsingular input); typically order one for the
     Moore-Penrose route whenever rank deficiency or rescaling matters.
     """
-    g = as_matrix(g)
-    d = as_scaling(d, g.shape[0])
-    e = as_scaling(e, g.shape[1])
-    kw = dict(rank_tol=rank_tol, balance_tol=balance_tol, max_iter=max_iter)
-    base = rga_by_method(g, method, **kw).rga
-    scaled = rga_by_method(apply_diag(d, g, e), method, **kw).rga
-    return relative_change(scaled, base)
+    scaled = rga_routes(apply_diag(d, g, e), list(base), rank_tol, balance_tol)
+    return {method: relative_change(scaled[method].rga, r.rga) for method, r in base.items()}
 
 
 def rga_summary(result: RgaResult) -> PropertyReport:

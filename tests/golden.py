@@ -25,10 +25,21 @@ STACKED_PLANT = np.hstack([PLANT, RESCALED_PLANT])
 # the same wide matrix with the rescaled block first
 STACKED_PLANT_SWAPPED = np.hstack([RESCALED_PLANT, PLANT])
 
-# STACKED_PLANT with entry (0, 0) zeroed: a support that is not dense, so
-# balancing it sweeps (13 sweeps to the default tolerance, not one)
-SPARSE_STACKED_PLANT = STACKED_PLANT.copy()
-SPARSE_STACKED_PLANT[0, 0] = 0.0
+
+def _unconverged_bidiagonal(n=50):
+    """Upper bidiagonal n x n, diagonal then superdiagonal drawn from
+    default_rng(0) as 10 ** U(-0.5, 0.5)."""
+    rng = np.random.default_rng(0)
+    g = np.zeros((n, n))
+    i = np.arange(n)
+    g[i, i] = 10.0 ** rng.uniform(-0.5, 0.5, n)
+    g[i[:-1], i[:-1] + 1] = 10.0 ** rng.uniform(-0.5, 0.5, n - 1)
+    return g
+
+
+# a sparse plant the balancing sweep does not settle: it stops at the sweep
+# cap with a last shift of about 6e-8, far above the default tolerance
+UNCONVERGED_BIDIAGONAL = _unconverged_bidiagonal()
 
 # exact RGA of PLANT via integer cofactors (see module docstring)
 EXACT_RGA_PLANT = np.array([[-42.0, -41, 100], [56, 16, -55], [3, 42, -28]]) / 17

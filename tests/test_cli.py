@@ -1,22 +1,27 @@
 """Tests for the command line interface: exit codes, output formats, determinism."""
 
+import contextlib
 import importlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucrga import cli
 from ucrga.cli import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_SINGULAR, main
 from ucrga.matrix import matrix_from_json, parse_csv
 from ucrga.rga import rga_mp, rga_strict, rga_uc
 
-from golden import EXACT_RGA_PLANT, MP_RGA_SCALED_ONES3, ONES3, PLANT
+from golden import EXACT_RGA_PLANT, MP_RGA_SCALED_ONES3, ONES3, PLANT, UNCONVERGED_BIDIAGONAL
 
 FIXTURES = Path(__file__).resolve().parents[1] / "demos" / "matrices"
 
@@ -159,8 +164,10 @@ def test_non_numeric_input_exits_1_with_no_output(tmp_path, capsys, name, text):
         ["compute"],
         ["compute", "--input", PLANT_CSV, "--method", "exact"],
         ["compute", "--input", PLANT_CSV, "--digits", "-1"],
+        # the sweep cap is a constant, not a flag
+        ["compute", "--input", PLANT_CSV, "--max-iter", "1"],
     ],
-    ids=["missing-input", "unknown-method", "negative-digits"],
+    ids=["missing-input", "unknown-method", "negative-digits", "removed-max-iter"],
 )
 def test_usage_errors_exit_1_before_any_output(capsys, argv):
     # argparse's own code, 2, is the one documented for strict on singular input
@@ -180,7 +187,7 @@ def test_help_exits_0(capsys):
 )
 def test_non_finite_tolerance_exits_1(capsys, flag, value):
     # a NaN rank cutoff reported rank 0 and an all-zero RGA with exit code 0,
-    # and a NaN balance tolerance ran every one of the max_iter sweeps
+    # and a NaN balance tolerance ran every sweep up to the cap
     assert main(["check", "--input", PLANT_CSV, "--output", "json", flag, value]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -290,13 +297,11 @@ def test_check_all_keeps_strict_under_rescaling(tmp_path, capsys):
 
 
 def test_all_balances_strict_and_uc_alike(tmp_path, capsys):
-    # strict is taken from the uc result, so the balancing flags bound both;
-    # a dense plant balances in closed form, so the plant has a zero entry
-    path = tmp_path / "sparse_plant.csv"
-    sparse = PLANT.copy()
-    sparse[0, 0] = 0.0
-    np.savetxt(path, sparse, fmt="%.17g", delimiter=",")
-    argv = ["compute", "--input", str(path), "--method", "all", "--max-iter", "1"]
+    # strict is taken from the uc result, so one balance bounds both; a dense
+    # plant balances in closed form, so the plant is one the sweep does not settle
+    path = tmp_path / "unconverged.csv"
+    np.savetxt(path, UNCONVERGED_BIDIAGONAL, fmt="%.17g", delimiter=",")
+    argv = ["compute", "--input", str(path), "--method", "all"]
     code, reports = run_json(capsys, [*argv, "--output", "json"])
     assert code == EXIT_OK
     converged = {r["method"]: r["balancer_converged"] for r in reports}
@@ -444,17 +449,19 @@ def test_check_identities_catch_a_perturbed_inverse(monkeypatch, tmp_path, capsy
     # a 1e-6 relative change to any one entry of the core's pseudoinverse must
     # fail an identity check, however the plant's units are chosen
     path = PLANT_CSV if plant == "raw" else _extreme_unit_plant_csv(tmp_path)
-    compute = cli.rga_by_method
+    compute = cli.rga_routes
     for i in range(3):
         for j in range(3):
 
-            def perturbed(*args, **kwargs):
-                result = compute(*args, **kwargs)
+            def perturb(result):
                 core_pinv = result.core_pinv.copy()
                 core_pinv[i, j] *= 1.0 + 1e-6
                 return replace(result, core_pinv=core_pinv)
 
-            monkeypatch.setattr(cli, "rga_by_method", perturbed)
+            def perturbed(*args, **kwargs):
+                return {m: perturb(r) for m, r in compute(*args, **kwargs).items()}
+
+            monkeypatch.setattr(cli, "rga_routes", perturbed)
             code, reports = run_json(
                 capsys, ["check", "--input", path, "--method", "all", "--output", "json"]
             )
@@ -463,3 +470,66 @@ def test_check_identities_catch_a_perturbed_inverse(monkeypatch, tmp_path, capsy
                 failed = {c["name"] for c in report["checks"] if not c["passed"]}
                 if report["method"] != "mp":
                     assert failed and failed <= {"inverse_identity_aga", "inverse_identity_gag"}
+
+
+# valid CSV fields, the extremes of float64 among them, and fields the parser
+# must refuse (out of range, non-finite, non-decimal, empty)
+VALID_FIELDS = st.one_of(
+    st.integers(-1, 1).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e308", "-1e308", "5e-324", "1e-310", "2e-310"]),
+)
+INVALID_FIELDS = st.sampled_from(["1e309", "-1e309", "inf", "nan", "0x10", "1_0", "", " "])
+FLAGS = st.sampled_from(
+    [
+        ("--rank-tol", "1e300"),
+        ("--rank-tol", "1e-300"),
+        ("--balance-tol", "1e300"),
+        ("--balance-tol", "1e-300"),
+        ("--digits", "400"),
+        ("--digits", "0"),
+        ("--seed", "0"),
+        ("--max-iter", "1"),
+    ]
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV matrix of up to 3x3 fields; one in four has a field made
+    invalid, and one in ten the last row cut short."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    fields = draw(st.lists(VALID_FIELDS, min_size=m * n, max_size=m * n))
+    if draw(st.integers(0, 3)) == 0:
+        fields[draw(st.integers(0, m * n - 1))] = draw(INVALID_FIELDS)
+    rows = [",".join(fields[i * n : (i + 1) * n]) for i in range(m)]
+    if m > 1 and n > 1 and draw(st.integers(0, 9)) == 0:
+        rows[-1] = rows[-1].rsplit(",", 1)[0]
+    return "\n".join(rows) + "\n"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    text=csv_texts(),
+    command=st.sampled_from(["compute", "compare", "check"]),
+    method=st.sampled_from(["strict", "mp", "uc", "all"]),
+    output=st.sampled_from(["table", "json", "csv"]),
+    flags=st.lists(FLAGS, max_size=2),
+)
+def test_every_input_ends_in_a_documented_exit_code(text, command, method, output, flags):
+    # an input or usage error (1) and a singular strict input (2) print nothing
+    # on stdout; every other outcome is success (0) or a failed check (3)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "matrix.csv"
+        path.write_text(text, encoding="utf-8")
+        argv = [command, "--input", str(path), "--method", method, "--output", output]
+        argv += [part for flag in flags for part in flag]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_SINGULAR, EXIT_PROPERTY)
+    if code in (EXIT_INPUT, EXIT_SINGULAR):
+        assert out.getvalue() == ""
+        assert "error:" in err.getvalue()
+    else:
+        assert out.getvalue()

@@ -1,5 +1,8 @@
 """Tests for the three RGA routes and their structural properties."""
 
+import importlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from ucrga.matrix import DimensionError, apply_diag, permute
 from ucrga.rga import (
     SingularMatrixError,
     rga_mp,
+    rga_routes,
     rga_strict,
     rga_summary,
     rga_uc,
@@ -24,8 +28,8 @@ from golden import (
     PUBLISHED_RGA_PLANT,
     RESCALED_PLANT,
     SCALED_ONES3,
-    SPARSE_STACKED_PLANT,
     STACKED_PLANT,
+    UNCONVERGED_BIDIAGONAL,
 )
 from reference_impl import reference_uc_rga
 from suites import log_uniform, rank_controlled_suite, scaling_pairs_for, sparse_suite
@@ -166,7 +170,7 @@ def test_uc_extreme_dynamic_range_is_exact():
 
 def test_uc_surfaces_balancer_nonconvergence():
     # a dense support balances in closed form, so no cap can stop it
-    result = rga_uc(SPARSE_STACKED_PLANT, max_iter=1)
+    result = rga_uc(UNCONVERGED_BIDIAGONAL)
     assert not result.balancer_converged
     assert np.all(np.isfinite(result.rga))
 
@@ -190,35 +194,97 @@ def test_each_result_carries_the_inverse_it_was_formed_from():
         assert np.abs(inverse - classical).max() <= 1e-10 * np.abs(classical).max()
 
 
+# -------------------------------------------------------------------- routes
+
+def test_routes_balance_and_factor_strict_and_uc_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    # the package re-exports balance and svd under their modules' names, so
+    # the modules are taken from the import system
+    inverse, rga = (importlib.import_module(f"ucrga.{name}") for name in ("inverse", "rga"))
+    for module, name in ((inverse, "balance"), (inverse, "svd"), (rga, "svd")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    results = rga_routes(PLANT, ("strict", "mp", "uc"))
+    # one balance and one factorization for strict and uc, one for mp
+    assert (calls["balance"], calls["svd"]) == (1, 2)
+    assert list(results) == ["strict", "mp", "uc"]
+    assert results["strict"].rga is results["uc"].rga
+    assert results["strict"].method == "strict" and results["uc"].method == "uc"
+    assert np.array_equal(results["mp"].rga, rga_mp(PLANT).rga)
+    assert np.array_equal(results["uc"].rga, rga_uc(PLANT).rga)
+
+
+def test_routes_are_keyed_in_the_order_asked():
+    assert list(rga_routes(PLANT, ("uc", "mp", "strict"))) == ["uc", "mp", "strict"]
+    assert list(rga_routes(PLANT, ())) == []
+
+
+def test_routes_reject_strict_on_rectangular():
+    with pytest.raises(DimensionError, match="square"):
+        rga_routes(STACKED_PLANT, ("mp", "strict"))
+
+
+def test_routes_reject_strict_on_singular():
+    with pytest.raises(SingularMatrixError, match="rank 1 of 3"):
+        rga_routes(ONES3, ("uc", "strict"))
+
+
 # ----------------------------------------------------------------- residuals
 
+def moved(g, method, d, e):
+    """How far the ``method`` RGA of g moves under row scaling d and column scaling e."""
+    return scaling_invariance_residual(g, rga_routes(g, [method]), d, e)[method]
+
+
 def test_scaling_invariance_identity_scalings():
-    value = scaling_invariance_residual(STACKED_PLANT, np.ones(3), np.ones(6), method="uc")
-    assert value <= 1e-12
+    assert moved(STACKED_PLANT, "uc", np.ones(3), np.ones(6)) <= 1e-12
 
 
 def test_scaling_invariance_uc_under_random_scalings():
     rng = np.random.default_rng(61)
     d = log_uniform(rng, 3)
     e = log_uniform(rng, 6)
-    assert scaling_invariance_residual(STACKED_PLANT, d, e, method="uc") <= 1e-7
+    assert moved(STACKED_PLANT, "uc", d, e) <= 1e-7
 
 
 def test_scaling_invariance_mp_violated_on_ones():
     d = np.array([2.0, 1.0, 1.0])
-    assert scaling_invariance_residual(ONES3, d, d, method="mp") >= 0.5
+    assert moved(ONES3, "mp", d, d) >= 0.5
 
 
 def test_scaling_invariance_strict_route():
     rng = np.random.default_rng(62)
     d = log_uniform(rng, 3, 1e-3, 1e3)
     e = log_uniform(rng, 3, 1e-3, 1e3)
-    assert scaling_invariance_residual(PLANT, d, e, method="strict") <= 1e-9
+    assert moved(PLANT, "strict", d, e) <= 1e-9
 
 
 def test_scaling_invariance_rejects_unknown_method():
     with pytest.raises(ValueError, match="method"):
-        scaling_invariance_residual(PLANT, np.ones(3), np.ones(3), method="qr")
+        rga_routes(PLANT, ("qr",))
+    base = {"qr": rga_uc(PLANT)}
+    with pytest.raises(ValueError, match="method"):
+        scaling_invariance_residual(PLANT, base, np.ones(3), np.ones(3))
+
+
+def test_scaling_invariance_is_keyed_like_its_base_and_checks_the_scalings():
+    base = rga_routes(STACKED_PLANT, ("uc", "mp"))
+    d, e = np.full(3, 2.0), np.full(6, 3.0)
+    residual = scaling_invariance_residual(STACKED_PLANT, base, d, e)
+    assert list(residual) == ["uc", "mp"]
+    # multiplying every entry by one constant moves no route
+    assert max(residual.values()) <= 1e-12
+    with pytest.raises(DimensionError):
+        scaling_invariance_residual(STACKED_PLANT, base, np.ones(6), e)
+    with pytest.raises(ValueError, match="nonzero"):
+        scaling_invariance_residual(STACKED_PLANT, base, d, np.zeros(6))
 
 
 # ------------------------------------------------------------------- summary
@@ -285,6 +351,6 @@ def test_element_sum_equals_rank_smoke():
 
 def test_scaling_flips_mp_but_not_uc():
     for (g, r), (d, e) in zip(SUITE[:30], PAIRS[:30]):
-        assert scaling_invariance_residual(g, d, e, method="uc") <= 1e-7
+        assert moved(g, "uc", d, e) <= 1e-7
         if r < min(g.shape):
-            assert scaling_invariance_residual(g, d, e, method="mp") > 1e-2
+            assert moved(g, "mp", d, e) > 1e-2
