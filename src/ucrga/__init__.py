@@ -11,14 +11,7 @@ routes apart.
 """
 
 from .balance import DEFAULT_BALANCE_TOL, ScalingDecomposition, balance
-from .inverse import (
-    GiResiduals,
-    UcInverseResult,
-    check_gi_identities,
-    uc_consistency_residual,
-    uc_inverse,
-    uc_inverse_detailed,
-)
+from .inverse import GiResiduals, check_gi_identities
 from .matrix import (
     DimensionError,
     MatrixFormatError,
@@ -44,6 +37,8 @@ from .rga import (
     rga_summary,
     rga_uc,
     scaling_invariance_residual,
+    uc_consistency_residual,
+    uc_inverse,
 )
 from .svd import (
     DEFAULT_RANK_TOL,
@@ -72,7 +67,6 @@ __all__ = [
     "SingularMatrixError",
     "SvdConvergenceError",
     "SvdFactors",
-    "UcInverseResult",
     "apply_diag",
     "as_matrix",
     "as_permutation",
@@ -95,5 +89,4 @@ __all__ = [
     "svd",
     "uc_consistency_residual",
     "uc_inverse",
-    "uc_inverse_detailed",
 ]

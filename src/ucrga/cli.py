@@ -101,7 +101,8 @@ def _load_matrix(path: str, fmt: str | None) -> np.ndarray:
     if fmt == "json":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # json.loads recurses once per nesting level
             raise MatrixFormatError(f"{path}: invalid JSON: {exc}") from exc
         return matrix_from_json(obj)
     try:

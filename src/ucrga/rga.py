@@ -12,11 +12,13 @@ other loops open versus closed. Three routes are provided:
   under rescaling of rows and columns, and identical to the strict RGA
   whenever that one exists.
 
-Each computes x * pinv(x).T: x is the matrix for MP and its balanced core for
-UC and strict. With g = inv(D) @ core @ inv(E) the unit-consistent inverse is
-E @ pinv(core) @ D, so in the RGA the scale factors cancel exactly. Each
-result keeps pinv(x) and the scaling, so the generalized inverse the RGA was
-formed from is at hand as ``result.inverse`` without a second factorization.
+Each computes x * pinv(x).T in one place: x is the matrix for MP and its
+balanced core for UC and strict. With g = inv(D) @ core @ inv(E) the
+unit-consistent inverse is E @ pinv(core) @ D, so in the RGA the scale factors
+cancel exactly. Each result keeps pinv(x) and the scaling, so the generalized
+inverse the RGA was formed from is at hand as ``result.inverse`` without a
+second factorization; :func:`uc_inverse` is that inverse of :func:`rga_uc`,
+and :func:`uc_consistency_residual` measures its diagonal consistency.
 
 The strict RGA is the UC result relabelled (:func:`strict_from_uc`), so
 :func:`rga_routes`, which computes any set of routes by name, balances and
@@ -33,9 +35,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .balance import DEFAULT_BALANCE_TOL, ScalingDecomposition
-from .inverse import relative_change, uc_inverse_detailed
-from .matrix import DimensionError, apply_diag, as_matrix
+from .balance import DEFAULT_BALANCE_TOL, ScalingDecomposition, balance
+from .inverse import relative_change
+from .matrix import DimensionError, apply_diag, as_matrix, as_scaling
 from .svd import DEFAULT_RANK_TOL, pinv_from_factors, svd
 
 __all__ = [
@@ -48,6 +50,8 @@ __all__ = [
     "rga_mp",
     "rga_uc",
     "rga_routes",
+    "uc_inverse",
+    "uc_consistency_residual",
     "scaling_invariance_residual",
     "rga_summary",
 ]
@@ -117,17 +121,17 @@ class PropertyReport:
 
 def _route(
     x: np.ndarray,
-    x_pinv: np.ndarray,
-    rank: int,
+    rank_tol: float,
     method: str,
     decomposition: ScalingDecomposition | None,
 ) -> RgaResult:
     """The RGA every route computes, x * pinv(x).T, with the rank used for pinv."""
+    x_pinv, info = pinv_from_factors(svd(x), rank_tol)
     rga = x * x_pinv.T
     return RgaResult(
         rga=rga,
         method=method,
-        numerical_rank=rank,
+        numerical_rank=info.numerical_rank,
         row_sums=rga.sum(axis=1),
         col_sums=rga.sum(axis=0),
         element_sum=float(rga.sum()),
@@ -154,9 +158,7 @@ def rga_mp(g, rank_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
     Defined for any shape and rank, but not invariant under diagonal
     rescaling of rows or columns (see :func:`scaling_invariance_residual`).
     """
-    g = as_matrix(g)
-    g_pinv, info = pinv_from_factors(svd(g), rank_tol)
-    return _route(g, g_pinv, info.numerical_rank, "mp", None)
+    return _route(as_matrix(g), rank_tol, "mp", None)
 
 
 def rga_uc(
@@ -172,9 +174,51 @@ def rga_uc(
     non-convergence (possible only for adversarial sparsity patterns) is
     reported through ``balancer_converged``, never raised.
     """
-    detail = uc_inverse_detailed(g, rank_tol=rank_tol, balance_tol=balance_tol)
-    dec = detail.decomposition
-    return _route(dec.core, detail.core_pinv, detail.rank.numerical_rank, "uc", dec)
+    dec = balance(g, tol=balance_tol)
+    return _route(dec.core, rank_tol, "uc", dec)
+
+
+def uc_inverse(
+    a,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    balance_tol: float = DEFAULT_BALANCE_TOL,
+) -> np.ndarray:
+    """Unit-consistent generalized inverse (n-by-m for m-by-n input): the
+    ``inverse`` of :func:`rga_uc`.
+
+    Equals the ordinary inverse for nonsingular square input. The
+    Moore-Penrose pseudoinverse commutes with orthonormal transformations but
+    not with diagonal rescaling; this one, for nonsingular diagonal D and E,
+    satisfies the complementary identity
+
+        uc_inverse(D @ a @ E) == inv(E) @ uc_inverse(a) @ inv(D)
+
+    With a = inv(D) @ core @ inv(E) from balancing, it is E @ pinv(core) @ D.
+    """
+    return rga_uc(a, rank_tol, balance_tol).inverse
+
+
+def uc_consistency_residual(
+    a,
+    d,
+    e,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    balance_tol: float = DEFAULT_BALANCE_TOL,
+) -> float:
+    """Residual of the diagonal-consistency identity.
+
+    Computes diag(e) @ uc_inverse(diag(d) @ a @ diag(e)) @ diag(d) and returns
+    its relative max-abs difference from uc_inverse(a). Zero in exact
+    arithmetic for any nonsingular diagonal scalings; the same construction
+    with the Moore-Penrose inverse substituted is violated by order one.
+    """
+    a = as_matrix(a)
+    d = as_scaling(d, a.shape[0])
+    e = as_scaling(e, a.shape[1])
+    kw = dict(rank_tol=rank_tol, balance_tol=balance_tol)
+    base = uc_inverse(a, **kw)
+    mapped = apply_diag(e, uc_inverse(apply_diag(d, a, e), **kw), d)
+    return relative_change(mapped, base)
 
 
 def strict_from_uc(result: RgaResult) -> RgaResult:

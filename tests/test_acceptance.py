@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ucrga import check_gi_identities, uc_consistency_residual, uc_inverse
 from ucrga.cli import EXIT_OK, EXIT_PROPERTY, EXIT_SINGULAR, main
-from ucrga.inverse import check_gi_identities, uc_consistency_residual, uc_inverse
 from ucrga.matrix import matrix_from_json
 from ucrga.rga import rga_mp, rga_routes, rga_strict, rga_uc, scaling_invariance_residual
 from ucrga.svd import pinv

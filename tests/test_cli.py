@@ -158,6 +158,17 @@ def test_non_numeric_input_exits_1_with_no_output(tmp_path, capsys, name, text):
     assert "error:" in captured.err
 
 
+def test_deeply_nested_json_exits_1_with_no_output(capsys):
+    # json.loads recurses once per level and gives up long before this depth
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["compute", "--input", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -528,6 +539,70 @@ def test_every_input_ends_in_a_documented_exit_code(text, command, method, outpu
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_SINGULAR, EXIT_PROPERTY)
+    if code in (EXIT_INPUT, EXIT_SINGULAR):
+        assert out.getvalue() == ""
+        assert "error:" in err.getvalue()
+    else:
+        assert out.getvalue()
+
+
+# JSON values as a file spells them; NaN, Infinity and 1e400 are tokens that
+# json.loads reads as non-finite floats, and 10**400 an integer beyond float
+HUGE = str(10**400)
+FINITE_NUMBERS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+JSON_SCALARS = st.one_of(
+    FINITE_NUMBERS,
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", HUGE, "true", "false", "null"]),
+    st.text(max_size=4).map(json.dumps),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3).map(lambda items: f"[{', '.join(items)}]"),
+    max_leaves=6,
+)
+
+
+@st.composite
+def json_texts(draw):
+    """A JSON matrix object of up to 3x3 finite numbers, or one in ten times
+    a top-level value that is not an object. One in four dimensions is
+    replaced by a JSON scalar, one in four data lists has an entry
+    replaced by any JSON value, and one in ten objects lacks a key."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows, cols = (
+        draw(JSON_SCALARS) if draw(st.integers(0, 3)) == 0 else str(size) for size in (m, n)
+    )
+    data = draw(st.lists(FINITE_NUMBERS, min_size=m * n, max_size=m * n))
+    if draw(st.integers(0, 3)) == 0:
+        data[draw(st.integers(0, m * n - 1))] = draw(JSON_VALUES)
+    fields = [f'"rows": {rows}', f'"cols": {cols}', f'"data": [{", ".join(data)}]']
+    if draw(st.integers(0, 9)) == 0:
+        del fields[draw(st.integers(0, 2))]
+    return "{" + ", ".join(fields) + "}"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    text=json_texts(),
+    command=st.sampled_from(["compute", "compare", "check"]),
+    method=st.sampled_from(["strict", "mp", "uc", "all"]),
+    output=st.sampled_from(["table", "json", "csv"]),
+)
+def test_every_json_input_ends_in_a_documented_exit_code(text, command, method, output):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "matrix.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [command, "--input", str(path), "--method", method, "--output", output]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_SINGULAR, EXIT_PROPERTY)
+    assert "Traceback" not in err.getvalue()
     if code in (EXIT_INPUT, EXIT_SINGULAR):
         assert out.getvalue() == ""
         assert "error:" in err.getvalue()

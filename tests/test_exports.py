@@ -1,0 +1,28 @@
+"""The package's export list against its modules' export lists."""
+
+import importlib
+import pkgutil
+from collections import Counter
+
+import ucrga
+
+# every public module; __main__ runs the CLI when imported
+MODULES = [
+    importlib.import_module(f"ucrga.{info.name}")
+    for info in pkgutil.iter_modules(ucrga.__path__)
+    if not info.name.startswith("_")
+]
+
+
+def test_every_package_export_comes_from_exactly_one_module():
+    owners = Counter(name for module in MODULES for name in getattr(module, "__all__", ()))
+    assert {name: owners[name] for name in ucrga.__all__} == dict.fromkeys(ucrga.__all__, 1)
+    for module in MODULES:
+        for name in set(getattr(module, "__all__", ())) & set(ucrga.__all__):
+            assert getattr(ucrga, name) is getattr(module, name)
+
+
+def test_every_module_export_exists():
+    for module in MODULES:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__} exports missing {name}"

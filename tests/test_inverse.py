@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from ucrga.inverse import (
-    check_gi_identities,
-    uc_consistency_residual,
-    uc_inverse,
-    uc_inverse_detailed,
-)
+from ucrga import check_gi_identities, rga_uc, uc_consistency_residual, uc_inverse
 from ucrga.matrix import DimensionError, apply_diag, permute
 from ucrga.svd import pinv
 
@@ -138,12 +133,12 @@ def test_permutation_consistency():
 
 def test_detailed_reports_nonconvergence_but_still_answers():
     # a dense support balances in closed form, so no cap can stop it
-    detail = uc_inverse_detailed(UNCONVERGED_BIDIAGONAL)
-    assert not detail.decomposition.converged
-    assert np.all(np.isfinite(detail.inverse))
-    assert detail.inverse.shape == (50, 50)
+    result = rga_uc(UNCONVERGED_BIDIAGONAL)
+    assert not result.decomposition.converged
+    assert np.all(np.isfinite(result.inverse))
+    assert result.inverse.shape == (50, 50)
 
 
 def test_detailed_rank_is_core_rank():
-    assert uc_inverse_detailed(STACKED_PLANT).rank.numerical_rank == 3
-    assert uc_inverse_detailed(ONES3).rank.numerical_rank == 1
+    assert rga_uc(STACKED_PLANT).numerical_rank == 3
+    assert rga_uc(ONES3).numerical_rank == 1
