@@ -10,7 +10,7 @@ scaling invariance, generalized-inverse identities, sum rules) that tell the
 routes apart.
 """
 
-from .balance import DEFAULT_BALANCE_TOL, ScalingDecomposition, balance
+from .balance import ScalingDecomposition, balance
 from .inverse import GiResiduals, check_gi_identities
 from .matrix import (
     DimensionError,
@@ -53,7 +53,6 @@ from .svd import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "DEFAULT_BALANCE_TOL",
     "DEFAULT_RANK_TOL",
     "SUMMARY_TOL",
     "Check",

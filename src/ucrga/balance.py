@@ -28,14 +28,15 @@ import numpy as np
 from .matrix import as_matrix
 
 __all__ = [
-    "DEFAULT_BALANCE_TOL",
+    "BALANCE_TOL",
     "MAX_SWEEPS",
     "ScalingDecomposition",
     "balance",
 ]
 
-DEFAULT_BALANCE_TOL = 1e-15
-# the sweep gives up after this many sweeps and reports converged=False
+# the sweep stops once its shift drops to BALANCE_TOL, or gives up after
+# MAX_SWEEPS sweeps and reports converged=False
+BALANCE_TOL = 1e-15
 MAX_SWEEPS = 10000
 
 
@@ -48,7 +49,7 @@ class ScalingDecomposition:
     between the two sides, so consumers should rely on the sums
     ``left_log[i] + right_log[j]``, which are well-defined. ``final_shift``
     is the last sweep's summed mean absolute correction (the convergence
-    measure), and ``converged`` records whether it reached the tolerance
+    measure), and ``converged`` records whether it reached :data:`BALANCE_TOL`
     within :data:`MAX_SWEEPS` sweeps. A fully dense matrix balances in closed
     form, reported as one sweep with zero shift.
     """
@@ -79,18 +80,19 @@ class ScalingDecomposition:
         return core_inverse * np.exp(self.right_log[:, None] + self.left_log[None, :])
 
 
-def balance(a, tol: float = DEFAULT_BALANCE_TOL) -> ScalingDecomposition:
+def balance(a) -> ScalingDecomposition:
     """Balance a finite real matrix; see the module docstring for the factorization.
 
     Each sweep centers the columns first, then the rows; the sweep's shift is
     the mean absolute column correction plus the mean absolute row correction,
-    and iteration stops once it drops to ``tol``. The number of sweeps is
-    capped at :data:`MAX_SWEEPS`, a constant rather than a parameter; reaching
-    it is reported via ``converged=False``, not an exception. Rows and columns
-    with no nonzero entries are left untouched, and a mean over an empty
-    selection counts as zero shift, so all-zero input converges immediately.
-    The sweep runs over the list of nonzeros, gathered once per call, so each
-    sweep costs O(nnz) time and memory.
+    and iteration stops once it drops to :data:`BALANCE_TOL`. The number of
+    sweeps is capped at :data:`MAX_SWEEPS`; reaching it is reported via
+    ``converged=False``, not an exception. Both are constants, not
+    parameters, so ``converged=True`` always means the same fixed point.
+    Rows and columns with no nonzero entries are left untouched, and a mean
+    over an empty selection counts as zero shift, so all-zero input converges
+    immediately. The sweep runs over the list of nonzeros, gathered once per
+    call, so each sweep costs O(nnz) time and memory.
 
     A fully dense matrix takes no sweep: there the fixed point is two-way
     centering of log|a|, with ``right_log`` the negated column means and
@@ -98,9 +100,6 @@ def balance(a, tol: float = DEFAULT_BALANCE_TOL) -> ScalingDecomposition:
     converged after one sweep with zero shift.
     """
     a = as_matrix(a)
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-
     m, n = a.shape
     magnitude = np.abs(a)
     support = magnitude > 0.0
@@ -149,7 +148,7 @@ def balance(a, tol: float = DEFAULT_BALANCE_TOL) -> ScalingDecomposition:
         left_log -= row_means
         shift += float(np.abs(row_means).sum()) / nonempty_rows
 
-        if shift <= tol:
+        if shift <= BALANCE_TOL:
             converged = True
             break
 

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .balance import DEFAULT_BALANCE_TOL
 from .inverse import check_gi_identities, relative_change
 from .matrix import (
     DimensionError,
@@ -77,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--output", choices=["table", "json", "csv"], default="table")
         p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
-        p.add_argument("--balance-tol", type=float, default=DEFAULT_BALANCE_TOL)
         p.add_argument("--seed", type=int, default=42, help="seed for randomized checks")
         p.add_argument("--digits", type=_digits, default=4, help="decimals in table output")
         p.set_defaults(handler=handler)
@@ -181,8 +179,8 @@ def _results(g: np.ndarray, args) -> list[RgaResult]:
     """The RGA by each requested method; --method all drops strict (with a
     warning) when it does not apply."""
     if args.method != "all":
-        return list(rga_routes(g, [args.method], args.rank_tol, args.balance_tol).values())
-    results = rga_routes(g, ("uc", "mp"), args.rank_tol, args.balance_tol)
+        return list(rga_routes(g, [args.method], args.rank_tol).values())
+    results = rga_routes(g, ("uc", "mp"), args.rank_tol)
     try:
         strict = [strict_from_uc(results["uc"])]
     except (DimensionError, SingularMatrixError) as exc:
@@ -201,11 +199,11 @@ def _cmd_compute(args) -> int:
 def _cmd_compare(args) -> int:
     g = _load_matrix(args.input, args.format)
     m, n = g.shape
-    results = rga_routes(g, ("mp", "uc"), args.rank_tol, args.balance_tol)
+    results = rga_routes(g, ("mp", "uc"), args.rank_tol)
     difference = float(np.abs(results["mp"].rga - results["uc"].rga).max())
     rng = np.random.default_rng(args.seed)
     d, e = _log_uniform(rng, m), _log_uniform(rng, n)
-    residual = scaling_invariance_residual(g, results, d, e, args.rank_tol, args.balance_tol)
+    residual = scaling_invariance_residual(g, results, d, e, args.rank_tol)
     pairs = [(r, list(rga_summary(r).checks)) for r in results.values()]
 
     if args.output == "json":
@@ -263,9 +261,9 @@ def _cmd_check(args) -> int:
     # not depend on which other routes ran
     rng = np.random.default_rng(args.seed)
     orders = (rng.permutation(m), rng.permutation(n))
-    permuted = rga_routes(permute(g, *orders), list(base), args.rank_tol, args.balance_tol)
+    permuted = rga_routes(permute(g, *orders), list(base), args.rank_tol)
     d, e = _log_uniform(rng, m), _log_uniform(rng, n)
-    scaled = scaling_invariance_residual(g, base, d, e, args.rank_tol, args.balance_tol)
+    scaled = scaling_invariance_residual(g, base, d, e, args.rank_tol)
     pairs = [
         (result, _property_checks(g, result, permuted[method], scaled[method], orders))
         for method, result in base.items()

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .balance import DEFAULT_BALANCE_TOL, ScalingDecomposition, balance
+from .balance import ScalingDecomposition, balance
 from .inverse import relative_change
 from .matrix import DimensionError, apply_diag, as_matrix, as_scaling
 from .svd import DEFAULT_RANK_TOL, pinv_from_factors, svd
@@ -125,9 +125,14 @@ def _route(
     method: str,
     decomposition: ScalingDecomposition | None,
 ) -> RgaResult:
-    """The RGA every route computes, x * pinv(x).T, with the rank used for pinv."""
-    x_pinv, info = pinv_from_factors(svd(x), rank_tol)
-    rga = x * x_pinv.T
+    """The RGA every route computes, x * pinv(x).T, with the rank used for pinv,
+    both formed from x / 2**j, j the binary exponent of x's largest singular
+    value: exact scalings that keep 1 / sigma finite at any magnitude of x."""
+    factors = svd(x)
+    j = int(np.frexp(factors.sigma[0])[1])
+    sigma = np.ldexp(factors.sigma, -j)
+    scaled_pinv, info = pinv_from_factors(replace(factors, sigma=sigma), rank_tol)
+    rga = np.ldexp(x, -j) * scaled_pinv.T
     return RgaResult(
         rga=rga,
         method=method,
@@ -135,7 +140,7 @@ def _route(
         row_sums=rga.sum(axis=1),
         col_sums=rga.sum(axis=0),
         element_sum=float(rga.sum()),
-        core_pinv=x_pinv,
+        core_pinv=np.ldexp(scaled_pinv, -j),
         decomposition=decomposition,
     )
 
@@ -161,28 +166,20 @@ def rga_mp(g, rank_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
     return _route(as_matrix(g), rank_tol, "mp", None)
 
 
-def rga_uc(
-    g,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    balance_tol: float = DEFAULT_BALANCE_TOL,
-) -> RgaResult:
+def rga_uc(g, rank_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
     """RGA generalized through the unit-consistent inverse: g * uc_inverse(g).T,
     computed as core * pinv(core).T over the balanced core of ``g``.
 
     Defined for any shape and rank, invariant under diagonal rescaling, and
-    equal to :func:`rga_strict` on nonsingular square input. Balancer
-    non-convergence (possible only for adversarial sparsity patterns) is
-    reported through ``balancer_converged``, never raised.
+    equal to :func:`rga_strict` on nonsingular square input. Balancing runs to
+    the constant ``balance.BALANCE_TOL``; failing to reach it (possible only for
+    adversarial sparsity patterns) is reported in ``balancer_converged``, not raised.
     """
-    dec = balance(g, tol=balance_tol)
+    dec = balance(g)
     return _route(dec.core, rank_tol, "uc", dec)
 
 
-def uc_inverse(
-    a,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    balance_tol: float = DEFAULT_BALANCE_TOL,
-) -> np.ndarray:
+def uc_inverse(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Unit-consistent generalized inverse (n-by-m for m-by-n input): the
     ``inverse`` of :func:`rga_uc`.
 
@@ -195,16 +192,10 @@ def uc_inverse(
 
     With a = inv(D) @ core @ inv(E) from balancing, it is E @ pinv(core) @ D.
     """
-    return rga_uc(a, rank_tol, balance_tol).inverse
+    return rga_uc(a, rank_tol).inverse
 
 
-def uc_consistency_residual(
-    a,
-    d,
-    e,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    balance_tol: float = DEFAULT_BALANCE_TOL,
-) -> float:
+def uc_consistency_residual(a, d, e, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Residual of the diagonal-consistency identity.
 
     Computes diag(e) @ uc_inverse(diag(d) @ a @ diag(e)) @ diag(d) and returns
@@ -215,9 +206,8 @@ def uc_consistency_residual(
     a = as_matrix(a)
     d = as_scaling(d, a.shape[0])
     e = as_scaling(e, a.shape[1])
-    kw = dict(rank_tol=rank_tol, balance_tol=balance_tol)
-    base = uc_inverse(a, **kw)
-    mapped = apply_diag(e, uc_inverse(apply_diag(d, a, e), **kw), d)
+    base = uc_inverse(a, rank_tol)
+    mapped = apply_diag(e, uc_inverse(apply_diag(d, a, e), rank_tol), d)
     return relative_change(mapped, base)
 
 
@@ -234,17 +224,12 @@ def strict_from_uc(result: RgaResult) -> RgaResult:
     return replace(result, method="strict")
 
 
-def rga_routes(
-    g,
-    methods,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    balance_tol: float = DEFAULT_BALANCE_TOL,
-) -> dict[str, RgaResult]:
+def rga_routes(g, methods, rank_tol: float = DEFAULT_RANK_TOL) -> dict[str, RgaResult]:
     """The RGA by each route named in ``methods`` ('strict', 'mp' or 'uc'),
     keyed in that order.
 
     Strict and uc share one :func:`rga_uc` result, strict taking it through
-    :func:`strict_from_uc`; ``balance_tol`` applies to those two routes.
+    :func:`strict_from_uc`.
     """
     for method in methods:
         if method not in ("strict", "mp", "uc"):
@@ -256,18 +241,13 @@ def rga_routes(
             results[method] = rga_mp(g, rank_tol)
             continue
         if uc is None:
-            uc = rga_uc(g, rank_tol, balance_tol)
+            uc = rga_uc(g, rank_tol)
         results[method] = strict_from_uc(uc) if method == "strict" else uc
     return results
 
 
 def scaling_invariance_residual(
-    g,
-    base: dict[str, RgaResult],
-    d,
-    e,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    balance_tol: float = DEFAULT_BALANCE_TOL,
+    g, base: dict[str, RgaResult], d, e, rank_tol: float = DEFAULT_RANK_TOL
 ) -> dict[str, float]:
     """Relative max-abs change of each RGA in ``base`` (as :func:`rga_routes`
     gave them for ``g``) when the routes run again on g under row scaling
@@ -276,9 +256,30 @@ def scaling_invariance_residual(
     Zero in exact arithmetic for the unit-consistent route (and for the
     strict route on nonsingular input); typically order one for the
     Moore-Penrose route whenever rank deficiency or rescaling matters.
+
+    No route's RGA depends on an overall constant factor, so g is first
+    shifted by the power of two :func:`_range_shift` picks.
     """
-    scaled = rga_routes(apply_diag(d, g, e), list(base), rank_tol, balance_tol)
+    g = np.asarray(g, dtype=float)
+    d, e = as_scaling(d, g.shape[0]), as_scaling(e, g.shape[1])
+    rescaled = apply_diag(d, np.ldexp(g, _range_shift(g, d, e)), e)
+    scaled = rga_routes(rescaled, list(base), rank_tol)
     return {method: relative_change(scaled[method].rga, r.rga) for method, r in base.items()}
+
+
+def _range_shift(g: np.ndarray, d: np.ndarray, e: np.ndarray) -> int:
+    """The s for which the nonzeros of 2**s * g, of it scaled by d, and of
+    that scaled by e all lie in float64's normal range: 0 when they already
+    do, and 0 when no s can fit them."""
+    k_g, k_d, k_e = np.frexp(g)[1], np.frexp(d)[1][:, None], np.frexp(e)[1]
+    steps = np.stack([k_g, k_g + k_d, k_g + k_d + k_e])[:, g != 0.0]
+    # a product of up to three numbers whose binary exponents sum to k lies
+    # in [2**(k-3), 2**k); normal magnitudes are [2**-1022, 2**1024). The
+    # range also takes in 2**0, which fits, so an all-zero g gives s = 0.
+    low, high = int(steps.min(initial=0)) - 3, int(steps.max(initial=0))
+    if (-1022 <= low and high <= 1023) or high - low > 1023 + 1022:
+        return 0
+    return (1 - low - high) // 2
 
 
 def rga_summary(result: RgaResult) -> PropertyReport:

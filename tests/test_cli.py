@@ -4,6 +4,7 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -18,18 +19,23 @@ from hypothesis import strategies as st
 
 from ucrga import cli
 from ucrga.cli import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_SINGULAR, main
-from ucrga.matrix import matrix_from_json, parse_csv
+from ucrga.matrix import apply_diag, format_csv, matrix_from_json, parse_csv
 from ucrga.rga import rga_mp, rga_strict, rga_uc
 
 from golden import EXACT_RGA_PLANT, MP_RGA_SCALED_ONES3, ONES3, PLANT, UNCONVERGED_BIDIAGONAL
+from suites import sparse_suite
 
-FIXTURES = Path(__file__).resolve().parents[1] / "demos" / "matrices"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "demos" / "matrices"
+SRC = ROOT / "src"
 
 PLANT_CSV = str(FIXTURES / "plant3x3.csv")
 PLANT_JSON = str(FIXTURES / "plant3x3.json")
 STACKED_CSV = str(FIXTURES / "plant3x6.csv")
 ONES_CSV = str(FIXTURES / "ones3x3.csv")
 SCALED_ONES_CSV = str(FIXTURES / "ones3x3_scaled.csv")
+
+SPARSE = sparse_suite()
 
 
 def run_json(capsys, argv):
@@ -175,10 +181,17 @@ def test_deeply_nested_json_exits_1_with_no_output(capsys):
         ["compute"],
         ["compute", "--input", PLANT_CSV, "--method", "exact"],
         ["compute", "--input", PLANT_CSV, "--digits", "-1"],
-        # the sweep cap is a constant, not a flag
+        # the sweep cap and the balancing tolerance are constants, not flags
         ["compute", "--input", PLANT_CSV, "--max-iter", "1"],
+        ["check", "--input", PLANT_CSV, "--balance-tol", "nan"],
     ],
-    ids=["missing-input", "unknown-method", "negative-digits", "removed-max-iter"],
+    ids=[
+        "missing-input",
+        "unknown-method",
+        "negative-digits",
+        "removed-max-iter",
+        "removed-balance-tol",
+    ],
 )
 def test_usage_errors_exit_1_before_any_output(capsys, argv):
     # argparse's own code, 2, is the one documented for strict on singular input
@@ -193,12 +206,9 @@ def test_help_exits_0(capsys):
     assert "--input" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--rank-tol", "nan"), ("--rank-tol", "inf"), ("--balance-tol", "nan")]
-)
+@pytest.mark.parametrize("flag, value", [("--rank-tol", "nan"), ("--rank-tol", "inf")])
 def test_non_finite_tolerance_exits_1(capsys, flag, value):
-    # a NaN rank cutoff reported rank 0 and an all-zero RGA with exit code 0,
-    # and a NaN balance tolerance ran every sweep up to the cap
+    # a NaN rank cutoff reported rank 0 and an all-zero RGA with exit code 0
     assert main(["check", "--input", PLANT_CSV, "--output", "json", flag, value]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -397,12 +407,74 @@ def test_seed_changes_randomized_checks_only(capsys):
     assert v1 != v2
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ucrga", "compute", "--input", PLANT_CSV, "--output", "json"],
+@pytest.mark.parametrize(
+    "text", ["1e308,1\n1,1\n", "5e-324,0\n0,1\n"], ids=["overflowing-row", "subnormal-entry"]
+)
+def test_rescaling_checks_stay_in_the_float_range(tmp_path, capsys, text):
+    # the rescaled copy once overflowed (exit 1), or flushed the subnormal
+    # entry to zero, so uc failed its own invariance check (exit 3)
+    path = tmp_path / "extreme.csv"
+    path.write_text(text)
+    for argv in (["compare"], *(["check", "--method", m] for m in ("uc", "mp", "strict", "all"))):
+        assert main([*argv, "--input", str(path), "--output", "json"]) == EXIT_OK, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("1e-310,1e-310\n1e-310,2e-310\n", [[2.0, -1.0], [-1.0, 2.0]]), ("5e-324\n", [[1.0]])],
+    ids=["subnormal-2x2", "smallest-1x1"],
+)
+def test_mp_rga_of_subnormal_plants(tmp_path, capsys, text, expected):
+    # 1 / sigma once overflowed here, so compute and compare exited 1
+    path = tmp_path / "tiny.csv"
+    path.write_text(text)
+    code, report = run_json(
+        capsys, ["compute", "--input", str(path), "--method", "mp", "--output", "json"]
+    )
+    assert code == EXIT_OK
+    assert np.abs(matrix_from_json(report["rga"]) - expected).max() <= 1e-12
+    code, report = run_json(capsys, ["compare", "--input", str(path), "--output", "json"])
+    assert code == EXIT_OK
+    assert report["max_abs_difference"] <= 1e-12
+
+
+@pytest.mark.parametrize("decades", [8, 150])
+@pytest.mark.parametrize("name", list(SPARSE))
+def test_uc_and_strict_check_verdicts_on_sparse_plants_do_not_depend_on_units(
+    tmp_path, capsys, name, decades
+):
+    g = SPARSE[name]
+    rng = np.random.default_rng(decades)
+    d = 10.0 ** rng.uniform(-decades, decades, g.shape[0])
+    e = 10.0 ** rng.uniform(-decades, decades, g.shape[1])
+    for method in ("uc", "strict"):
+        verdicts = []
+        for label, matrix in (("plant", g), ("rescaled", apply_diag(d, g, e))):
+            path = tmp_path / f"{label}.csv"
+            path.write_text(format_csv(matrix), encoding="utf-8")
+            code = main(["check", "--input", str(path), "--method", method, "--output", "json"])
+            # strict on singular or rectangular input exits before any output
+            out = capsys.readouterr().out
+            report = json.loads(out) if out else {"checks": [], "balancer_converged": None}
+            passed = {c["name"]: c["passed"] for c in report["checks"] if not c["informational"]}
+            verdicts.append((code, passed, report["balancer_converged"]))
+        assert verdicts[0] == verdicts[1], method
+
+
+def run_python(args):
+    """Run a fresh interpreter that imports ucrga from this checkout."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
         capture_output=True,
         text=True,
     )
+
+
+def test_module_entry_point():
+    proc = run_python(["-m", "ucrga", "compute", "--input", PLANT_CSV, "--output", "json"])
     assert proc.returncode == EXIT_OK
     report = json.loads(proc.stdout)
     assert report["method"] == "uc"
@@ -411,7 +483,7 @@ def test_module_entry_point():
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # only compare and check draw numbers, so only they pay for numpy.random
     code = "import sys, ucrga.cli; print('numpy.random' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -495,12 +567,12 @@ FLAGS = st.sampled_from(
     [
         ("--rank-tol", "1e300"),
         ("--rank-tol", "1e-300"),
-        ("--balance-tol", "1e300"),
-        ("--balance-tol", "1e-300"),
         ("--digits", "400"),
         ("--digits", "0"),
         ("--seed", "0"),
+        # removed flags, which argparse refuses
         ("--max-iter", "1"),
+        ("--balance-tol", "1e-300"),
     ]
 )
 

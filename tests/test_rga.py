@@ -109,6 +109,23 @@ def test_mp_rga_stacked_closed_form():
     assert abs(result.element_sum - 3.0) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        ([[1e-310, 1e-310], [1e-310, 2e-310]], [[2.0, -1.0], [-1.0, 2.0]]),
+        ([[5e-324]], [[1.0]]),
+    ],
+    ids=["subnormal-2x2", "smallest-1x1"],
+)
+def test_mp_does_not_depend_on_overall_magnitude(g, expected):
+    # 1 / sigma once overflowed on these, though the RGA is scale-free
+    g = np.array(g)
+    tiny = rga_mp(g)
+    assert tiny.numerical_rank == len(expected)
+    assert np.abs(tiny.rga - rga_mp(np.ldexp(g, 1060)).rga).max() <= 1e-12
+    assert np.abs(tiny.rga - expected).max() <= 1e-12
+
+
 def test_mp_matches_strict_on_nonsingular():
     result = rga_mp(PLANT)
     assert np.abs(result.rga - EXACT_RGA_PLANT).max() <= 1e-9
@@ -245,6 +262,14 @@ def test_routes_are_keyed_in_the_order_asked():
     assert list(rga_routes(PLANT, ())) == []
 
 
+def test_routes_take_no_balancing_tolerance():
+    # a looser tolerance once stopped the sweep early and still read converged
+    with pytest.raises(TypeError):
+        rga_routes(PLANT, ["uc"], 1e-12, 1e-2)
+    with pytest.raises(TypeError):
+        rga_uc(PLANT, balance_tol=1e-2)
+
+
 def test_routes_reject_strict_on_rectangular():
     with pytest.raises(DimensionError, match="square"):
         rga_routes(STACKED_PLANT, ("mp", "strict"))
@@ -291,6 +316,23 @@ def test_scaling_invariance_rejects_unknown_method():
     base = {"qr": rga_uc(PLANT)}
     with pytest.raises(ValueError, match="method"):
         scaling_invariance_residual(PLANT, base, np.ones(3), np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "g, d, e",
+    [
+        ([[1e308, 1.0], [1.0, 1.0]], [1e3, 1e-3], [1e-3, 1e3]),
+        ([[5e-324, 0.0], [0.0, 1.0]], [1e-3, 1e3], [1e-3, 1e3]),
+    ],
+    ids=["overflowing-row", "subnormal-entry"],
+)
+def test_scaling_invariance_keeps_the_rescaled_copy_in_range(g, d, e):
+    # the rescaled copy once overflowed (here already diag(d) @ g), or
+    # flushed the subnormal entry to zero, moving uc by 1
+    residual = scaling_invariance_residual(g, rga_routes(g, ("uc", "strict", "mp")), d, e)
+    assert residual["uc"] <= 1e-12
+    assert residual["strict"] <= 1e-12
+    assert np.isfinite(residual["mp"])
 
 
 def test_scaling_invariance_is_keyed_like_its_base_and_checks_the_scalings():
