@@ -38,7 +38,7 @@ import numpy as np
 from .balance import ScalingDecomposition, balance
 from .inverse import relative_change
 from .matrix import DimensionError, apply_diag, as_matrix, as_scaling
-from .svd import DEFAULT_RANK_TOL, pinv_from_factors, svd
+from .svd import DEFAULT_RANK_TOL, scaled_pinv
 
 __all__ = [
     "SUMMARY_TOL",
@@ -125,14 +125,9 @@ def _route(
     method: str,
     decomposition: ScalingDecomposition | None,
 ) -> RgaResult:
-    """The RGA every route computes, x * pinv(x).T, with the rank used for pinv,
-    both formed from x / 2**j, j the binary exponent of x's largest singular
-    value: exact scalings that keep 1 / sigma finite at any magnitude of x."""
-    factors = svd(x)
-    j = int(np.frexp(factors.sigma[0])[1])
-    sigma = np.ldexp(factors.sigma, -j)
-    scaled_pinv, info = pinv_from_factors(replace(factors, sigma=sigma), rank_tol)
-    rga = np.ldexp(x, -j) * scaled_pinv.T
+    """x * pinv(x).T, the RGA every route computes, from :func:`scaled_pinv`."""
+    x, x_pinv, core_pinv, info = scaled_pinv(x, rank_tol)
+    rga = x * x_pinv.T
     return RgaResult(
         rga=rga,
         method=method,
@@ -140,7 +135,7 @@ def _route(
         row_sums=rga.sum(axis=1),
         col_sums=rga.sum(axis=0),
         element_sum=float(rga.sum()),
-        core_pinv=np.ldexp(scaled_pinv, -j),
+        core_pinv=core_pinv,
         decomposition=decomposition,
     )
 

@@ -4,7 +4,7 @@ Moore-Penrose pseudoinverse assembled from it.
 The rank cutoff is the one knob that matters here: a singular value counts
 toward the rank only if it exceeds ``rel_tol * largest_sv * max(m, n)``. The
 pseudoinverse zeroes everything below that same cutoff, so reported ranks and
-inverted directions always agree.
+inverted directions always agree, at any magnitude (see :func:`scaled_pinv`).
 """
 
 from dataclasses import dataclass
@@ -22,6 +22,7 @@ __all__ = [
     "numerical_rank",
     "pinv",
     "pinv_from_factors",
+    "scaled_pinv",
 ]
 
 DEFAULT_RANK_TOL = 1e-12
@@ -60,6 +61,8 @@ def svd(a) -> SvdFactors:
 
     Deterministic for a fixed input. Raises SvdConvergenceError if the
     underlying iteration does not converge (vanishingly rare for finite input).
+    The factors are numpy's as they come, so sigma is inf where it overflows;
+    :func:`scaled_pinv` factors a / 2**k instead.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -78,7 +81,7 @@ def svd(a) -> SvdFactors:
 
 
 def numerical_rank(factors: SvdFactors, rel_tol: float = DEFAULT_RANK_TOL) -> RankInfo:
-    """Count singular values strictly above rel_tol * largest_sv * max(m, n)."""
+    """Count singular values above rel_tol * largest_sv * max(m, n); none if largest_sv is inf."""
     if not 0.0 < rel_tol < np.inf:
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     m, n = factors.shape
@@ -93,15 +96,22 @@ def pinv_from_factors(
 ) -> tuple[np.ndarray, RankInfo]:
     """Pseudoinverse v @ pinv(S) @ u.T from precomputed factors, plus the rank used."""
     info = numerical_rank(factors, rel_tol)
-    inverted = np.zeros(factors.sigma.size)
-    keep = factors.sigma > info.rank_tolerance
-    inverted[keep] = 1.0 / factors.sigma[keep]
-    result = (factors.v * inverted) @ factors.u.T
-    return result, info
+    kept = factors.sigma > info.rank_tolerance
+    inverted = np.divide(1.0, factors.sigma, out=np.zeros(kept.size), where=kept)
+    return (factors.v * inverted) @ factors.u.T, info
+
+
+def scaled_pinv(a: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL):
+    """(x, pinv(x), pinv(a), rank used) for x = a / 2**k, k the binary exponent of
+    max|a|: the exact scaling puts max|x| in [0.5, 1), so x factors and inverts at
+    any magnitude, and pinv(a) = pinv(x) / 2**k is inf only where it overflows."""
+    k = int(np.frexp(np.abs(a).max(initial=0.0))[1])
+    x = np.ldexp(a, -k)
+    x_pinv, info = pinv_from_factors(svd(x), rel_tol)
+    return x, x_pinv, np.ldexp(x_pinv, -k), info
 
 
 def pinv(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with singular values at or below the rank
     cutoff zeroed instead of inverted."""
-    result, _ = pinv_from_factors(svd(a), rel_tol)
-    return result
+    return scaled_pinv(np.asarray(a, dtype=float), rel_tol)[2]

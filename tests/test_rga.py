@@ -1,5 +1,6 @@
 """Tests for the three RGA routes and their structural properties."""
 
+import importlib
 from collections import Counter
 
 import numpy as np
@@ -109,21 +110,29 @@ def test_mp_rga_stacked_closed_form():
     assert abs(result.element_sum - 3.0) <= 1e-9
 
 
+# plants at the ends of float64, the binary exponent that brings them to
+# moderate size, their MP-RGA and its rank
+FLOAT_RANGE_PLANTS = [
+    ([[1e-310, 1e-310], [1e-310, 2e-310]], 1060, [[2.0, -1.0], [-1.0, 2.0]], 2),
+    ([[5e-324]], 1060, [[1.0]], 1),
+    ([[1.5e308] * 2] * 2, -1060, [[0.25] * 2] * 2, 1),
+    ([[1.5e308] * 3], -1060, [[1.0 / 3.0] * 3], 1),
+]
+
+
 @pytest.mark.parametrize(
-    "g, expected",
-    [
-        ([[1e-310, 1e-310], [1e-310, 2e-310]], [[2.0, -1.0], [-1.0, 2.0]]),
-        ([[5e-324]], [[1.0]]),
-    ],
-    ids=["subnormal-2x2", "smallest-1x1"],
+    "g, shift, expected, rank",
+    FLOAT_RANGE_PLANTS,
+    ids=["subnormal-2x2", "smallest-1x1", "huge-2x2", "huge-1x3"],
 )
-def test_mp_does_not_depend_on_overall_magnitude(g, expected):
-    # 1 / sigma once overflowed on these, though the RGA is scale-free
+def test_mp_does_not_depend_on_overall_magnitude(g, shift, expected, rank):
+    # 1 / sigma once overflowed on the tiny plants, and sigma itself on the
+    # huge ones (rank 0, all zeros), though the RGA is scale-free
     g = np.array(g)
-    tiny = rga_mp(g)
-    assert tiny.numerical_rank == len(expected)
-    assert np.abs(tiny.rga - rga_mp(np.ldexp(g, 1060)).rga).max() <= 1e-12
-    assert np.abs(tiny.rga - expected).max() <= 1e-12
+    result = rga_mp(g)
+    assert result.numerical_rank == rank
+    assert np.abs(result.rga - rga_mp(np.ldexp(g, shift)).rga).max() <= 1e-12
+    assert np.abs(result.rga - expected).max() <= 1e-12
 
 
 def test_mp_matches_strict_on_nonsingular():
@@ -223,6 +232,11 @@ def test_each_result_carries_the_inverse_it_was_formed_from():
         mp = rga_mp(g)
         assert np.array_equal(mp.inverse, pinv(g))
         assert mp.decomposition is None and mp.balancer_converged
+    # pinv and the MP route share one scaled factorization, so they agree
+    # bit for bit at the ends of float64 too (inf where pinv overflows)
+    with np.errstate(over="ignore"):
+        for g, *_ in FLOAT_RANGE_PLANTS:
+            assert np.array_equal(rga_mp(g).inverse, pinv(g))
     # strict's inverse is held against Gaussian elimination, formed here
     rng = np.random.default_rng(23)
     for _ in range(30):
@@ -245,8 +259,11 @@ def test_routes_balance_and_factor_strict_and_uc_once(monkeypatch):
 
         return wrapper
 
-    for name in ("balance", "svd"):
-        monkeypatch.setattr(rga_module, name, counted(name, getattr(rga_module, name)))
+    # the package re-exports svd under its module's name, so the module is
+    # taken from the import system
+    svd_module = importlib.import_module("ucrga.svd")
+    for module, name in ((rga_module, "balance"), (svd_module, "svd")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     results = rga_routes(PLANT, ("strict", "mp", "uc"))
     # one balance and one factorization for strict and uc, one for mp
     assert (calls["balance"], calls["svd"]) == (1, 2)

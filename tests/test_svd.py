@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from ucrga.svd import RankInfo, SvdFactors, numerical_rank, pinv, pinv_from_factors, svd
+from ucrga.svd import (
+    RankInfo,
+    SvdFactors,
+    numerical_rank,
+    pinv,
+    pinv_from_factors,
+    scaled_pinv,
+    svd,
+)
 
 from golden import PLANT, STACKED_PLANT, COLUMN_FACTORS, RESCALED_PLANT
 from suites import rank_controlled_suite
@@ -154,6 +162,18 @@ def test_pinv_from_factors_reports_rank_used():
     assert isinstance(info, RankInfo)
     assert info.numerical_rank == 3
     assert result.shape == (6, 3)
+
+
+@pytest.mark.parametrize("shift", [-1070, -600, -1, 1, 600, 1000])
+def test_pinv_commutes_exactly_with_powers_of_two(shift):
+    # pinv factors a / 2**k, k the binary exponent of max|a|, so 2**shift * a
+    # is factored as the very same matrix
+    for g in (PLANT, STACKED_PLANT, np.ones((2, 3))):
+        x, x_pinv, g_pinv, info = scaled_pinv(np.ldexp(g, shift))
+        assert 0.5 <= np.abs(x).max() < 1.0
+        assert np.array_equal(pinv(np.ldexp(g, shift)), np.ldexp(pinv(g), -shift))
+        assert np.array_equal(g_pinv, pinv(np.ldexp(g, shift)))
+        assert info.numerical_rank == numerical_rank(svd(g)).numerical_rank
 
 
 def test_svd_rejects_non_finite():
