@@ -6,7 +6,8 @@
 
 where every row and column of ``core`` that contains a nonzero has unit
 geometric mean of its nonzero magnitudes, and ``core`` carries exactly the
-sign pattern of ``a``. The core is the scale-canonical form of the input:
+sign pattern of ``a``. A core too large for float64 is scaled down by a power
+of two instead, traded into ``left_log``, so its geometric means are all equal. The core is the scale-canonical form of the input:
 rescaling rows or columns of ``a`` changes only the accumulated scale vectors,
 never the core. That canonical property is what the unit-consistent inverse
 is built on.
@@ -38,6 +39,9 @@ __all__ = [
 # MAX_SWEEPS sweeps and reports converged=False
 BALANCE_TOL = 1e-15
 MAX_SWEEPS = 10000
+
+LN2 = np.log(2.0)
+LOG_MAX = np.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,7 @@ def balance(a) -> ScalingDecomposition:
         right_log = -logmag.mean(axis=0)
         logmag += left_log[:, None]
         logmag += right_log
+        _fit_float_range(logmag, left_log)
         core = np.copysign(np.exp(logmag, out=logmag), a, out=logmag)
         return ScalingDecomposition(
             left_log=left_log,
@@ -152,6 +157,7 @@ def balance(a) -> ScalingDecomposition:
             converged = True
             break
 
+    _fit_float_range(vals, left_log)
     core = np.zeros((m, n))
     core[r_idx, c_idx] = np.copysign(np.exp(vals), a[r_idx, c_idx])
     return ScalingDecomposition(
@@ -162,3 +168,16 @@ def balance(a) -> ScalingDecomposition:
         iterations=iterations,
         final_shift=shift,
     )
+
+
+def _fit_float_range(logs: np.ndarray, left_log: np.ndarray) -> None:
+    """Where exp(logs) would overflow, subtract s * ln 2 from ``logs`` and from
+    ``left_log`` in place, which scales the core by 2**-s and leaves
+    ``reconstruct`` and ``unscale_inverse`` as they were. s centres the range of
+    ``logs`` on 0, or only just fits the largest one where that range is wider
+    than float64's."""
+    top = logs.max(initial=-np.inf)
+    if top > LOG_MAX:
+        s = max(np.ceil((top + logs.min()) / (2 * LN2)), np.ceil((top - LOG_MAX) / LN2))
+        logs -= s * LN2
+        left_log -= s * LN2

@@ -176,6 +176,30 @@ def test_extreme_dynamic_range_survives_log_space():
     assert relative_gap(dec.reconstruct(), a) <= 1e-10
 
 
+# every entry nonzero, yet the balanced core spans more than float64 can
+# hold at unit geometric mean: its largest entry would be exp(742)
+CORE_BEYOND_FLOAT = np.array(
+    [[1.0, 1.0, 8.732828226623622e-189], [5e-324, 5e-324, 1e308], [1.0, 1.0, 1.0]]
+)
+
+
+@pytest.mark.parametrize("zero_column", [False, True], ids=["closed-form", "sweep"])
+def test_core_too_large_for_float64_is_scaled_down(zero_column):
+    # exp once overflowed here; the core now comes out scaled by a power of
+    # two that left_log takes up, so the factorization still reconstructs a
+    a = np.hstack([CORE_BEYOND_FLOAT, np.zeros((3, 1))]) if zero_column else CORE_BEYOND_FLOAT
+    with np.errstate(over="raise"):
+        dec = balance(a)
+    assert dec.converged
+    assert np.all(np.isfinite(dec.core))
+    np.testing.assert_array_equal(np.sign(dec.core), np.sign(a))
+    assert relative_gap(dec.reconstruct(), a) <= 1e-12
+    # every row and column of the core keeps one common geometric mean
+    logs = np.log(np.abs(dec.core[:, :3]))
+    means = np.concatenate([logs.mean(axis=0), logs.mean(axis=1)])
+    assert np.ptp(means) <= 1e-12 * np.abs(logs).max()
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         balance([[1.0, np.inf]])

@@ -439,6 +439,21 @@ def test_mp_rga_of_subnormal_plants(tmp_path, capsys, text, expected):
     assert report["max_abs_difference"] <= 1e-12
 
 
+def test_uc_rga_of_a_plant_whose_core_is_beyond_float64(tmp_path, capsys):
+    # exp overflowed in the closed-form balance (exit 1); the core's columns
+    # 1 and 2 are equal, and its other singular value is below the cutoff
+    path = tmp_path / "wide_range.csv"
+    path.write_text("1,1,8.732828226623622e-189\n5e-324,5e-324,1e308\n1,1,1\n")
+    code, report = run_json(
+        capsys, ["compute", "--input", str(path), "--method", "uc", "--output", "json"]
+    )
+    assert code == EXIT_OK
+    assert report["rank"] == 1
+    expected = np.zeros((3, 3))
+    expected[1, 2] = 1.0
+    assert np.abs(matrix_from_json(report["rga"]) - expected).max() <= 1e-12
+
+
 @pytest.mark.parametrize("decades", [8, 150])
 @pytest.mark.parametrize("name", list(SPARSE))
 def test_uc_and_strict_check_verdicts_on_sparse_plants_do_not_depend_on_units(
