@@ -6,6 +6,7 @@ Matrices are plain 2-D C-ordered float64 numpy arrays. Diagonal scalings are
 of 0..n-1. Every function here is pure and never mutates its arguments.
 """
 
+import math
 import re
 
 import numpy as np
@@ -105,7 +106,7 @@ def parse_csv(text: str) -> np.ndarray:
                 value = float(stripped)
             except ValueError:
                 value = None
-            if value is not None and not np.isfinite(value):
+            if value is not None and not math.isfinite(value):
                 raise MatrixFormatError(
                     f"row {lineno}, column {colno}: non-finite value {stripped!r}"
                 )
