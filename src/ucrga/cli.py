@@ -1,12 +1,14 @@
 """Command line interface: compute, compare, and check relative gain arrays
 from CSV or JSON matrix files.
 
-Exit codes: 0 success, 1 input/parse failure (usage errors included), 2 strict
-method on a singular matrix, 3 property-check failure.
+Exit codes: 0 success, 1 input/parse failure (usage errors included) or an
+output the reader closed early, 2 strict method on a singular matrix, 3
+property-check failure.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -301,6 +303,14 @@ def main(argv=None) -> int:
     except (ValueError, SvdConvergenceError) as exc:
         # MatrixFormatError and DimensionError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError as exc:
+        # the reader closed stdout: what is still buffered goes to devnull, so
+        # the interpreter's own flush at exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: output closed early: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

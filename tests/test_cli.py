@@ -477,14 +477,15 @@ def test_uc_and_strict_check_verdicts_on_sparse_plants_do_not_depend_on_units(
         assert verdicts[0] == verdicts[1], method
 
 
-def run_python(args):
-    """Run a fresh interpreter that imports ucrga from this checkout."""
+def python_env():
+    """The environment of a fresh interpreter that imports ucrga from this checkout."""
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath)
+
+
+def run_python(args):
     return subprocess.run(
-        [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-        capture_output=True,
-        text=True,
+        [sys.executable, *args], env=python_env(), capture_output=True, text=True
     )
 
 
@@ -493,6 +494,24 @@ def test_module_entry_point():
     assert proc.returncode == EXIT_OK
     report = json.loads(proc.stdout)
     assert report["method"] == "uc"
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # the report (about 170 KB) outgrows the pipe buffer, so the write fails
+    # once the reader has closed its end
+    path = tmp_path / "plant.csv"
+    path.write_text(format_csv(np.random.default_rng(3).standard_normal((80, 80))))
+    argv = ["-m", "ucrga", "compute", "--input", str(path), "--output", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, *argv], env=python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.read(1)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_INPUT
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
