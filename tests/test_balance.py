@@ -168,33 +168,33 @@ def test_iteration_cap_reported_not_raised():
     assert relative_gap(dec.reconstruct(), UNCONVERGED_BIDIAGONAL) <= 1e-10
 
 
-def test_extreme_dynamic_range_survives_log_space():
-    a = np.array([[1e200, 1.0], [1.0, 1e-200]])
-    dec = balance(a)
-    assert dec.converged
-    assert np.all(np.isfinite(dec.core))
-    assert relative_gap(dec.reconstruct(), a) <= 1e-10
-
-
 # every entry nonzero, yet the balanced core spans more than float64 can
-# hold at unit geometric mean: its largest entry would be exp(742)
+# hold at unit geometric mean: its largest entry would be exp(742), and exp
+# once overflowed there
 CORE_BEYOND_FLOAT = np.array(
     [[1.0, 1.0, 8.732828226623622e-189], [5e-324, 5e-324, 1e308], [1.0, 1.0, 1.0]]
 )
 
 
-@pytest.mark.parametrize("zero_column", [False, True], ids=["closed-form", "sweep"])
-def test_core_too_large_for_float64_is_scaled_down(zero_column):
-    # exp once overflowed here; the core now comes out scaled by a power of
-    # two that left_log takes up, so the factorization still reconstructs a
-    a = np.hstack([CORE_BEYOND_FLOAT, np.zeros((3, 1))]) if zero_column else CORE_BEYOND_FLOAT
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[1e200, 1.0], [1.0, 1e-200]]),
+        CORE_BEYOND_FLOAT,
+        # a zero entry, so the sweep forms the core
+        np.hstack([CORE_BEYOND_FLOAT, np.zeros((3, 1))]),
+    ],
+    ids=["1e+-200", "core-beyond-float", "core-beyond-float-sweep"],
+)
+def test_extreme_dynamic_range_survives_log_space(a):
     with np.errstate(over="raise"):
         dec = balance(a)
     assert dec.converged
     assert np.all(np.isfinite(dec.core))
     np.testing.assert_array_equal(np.sign(dec.core), np.sign(a))
     assert relative_gap(dec.reconstruct(), a) <= 1e-12
-    # every row and column of the core keeps one common geometric mean
+    # every nonempty row and column of the core has one common geometric
+    # mean: 1, or the power of two a core too large for float64 is scaled by
     logs = np.log(np.abs(dec.core[:, :3]))
     means = np.concatenate([logs.mean(axis=0), logs.mean(axis=1)])
     assert np.ptp(means) <= 1e-12 * np.abs(logs).max()

@@ -422,12 +422,17 @@ def test_rescaling_checks_stay_in_the_float_range(tmp_path, capsys, text):
 
 @pytest.mark.parametrize(
     "text, expected",
-    [("1e-310,1e-310\n1e-310,2e-310\n", [[2.0, -1.0], [-1.0, 2.0]]), ("5e-324\n", [[1.0]])],
-    ids=["subnormal-2x2", "smallest-1x1"],
+    [
+        ("1e-310,1e-310\n1e-310,2e-310\n", [[2.0, -1.0], [-1.0, 2.0]]),
+        ("5e-324\n", [[1.0]]),
+        ("1.5e308,1.5e308\n1.5e308,1.5e308\n", [[0.25, 0.25], [0.25, 0.25]]),
+    ],
+    ids=["subnormal-2x2", "smallest-1x1", "huge-2x2"],
 )
-def test_mp_rga_of_subnormal_plants(tmp_path, capsys, text, expected):
-    # 1 / sigma once overflowed here, so compute and compare exited 1
-    path = tmp_path / "tiny.csv"
+def test_mp_rga_at_the_ends_of_the_float_range(tmp_path, capsys, text, expected):
+    # 1 / sigma once overflowed on the tiny plants, so compute and compare
+    # exited 1; sigma itself overflowed on the huge one, which read rank 0
+    path = tmp_path / "extreme.csv"
     path.write_text(text)
     code, report = run_json(
         capsys, ["compute", "--input", str(path), "--method", "mp", "--output", "json"]
