@@ -6,11 +6,12 @@
 
 where every row and column of ``core`` that contains a nonzero has unit
 geometric mean of its nonzero magnitudes, and ``core`` carries exactly the
-sign pattern of ``a``. A core too large for float64 is scaled down by a power
-of two instead, traded into ``left_log``, so its geometric means are all equal. The core is the scale-canonical form of the input:
-rescaling rows or columns of ``a`` changes only the accumulated scale vectors,
-never the core. That canonical property is what the unit-consistent inverse
-is built on.
+sign pattern of ``a``. (A core too large for float64 at unit geometric
+means is scaled down by 2**-s, which ``left_log`` takes up, so its means are
+all 2**-s instead.) The core is the scale-canonical form of the input:
+rescaling rows or columns of ``a`` changes only the accumulated scale
+vectors, never the core. That canonical property is what the
+unit-consistent inverse is built on.
 
 When every entry is nonzero, two-way centering of log|a| gives the balance
 in closed form. Otherwise an iteration alternates column centering and row
@@ -101,7 +102,8 @@ def balance(a) -> ScalingDecomposition:
     A fully dense matrix takes no sweep: there the fixed point is two-way
     centering of log|a|, with ``right_log`` the negated column means and
     ``left_log`` the grand mean minus the row means. It is reported as
-    converged after one sweep with zero shift.
+    converged after one sweep with zero shift. In both forms a core too large
+    for float64 is scaled down by a power of two, which ``left_log`` takes up.
     """
     a = as_matrix(a)
     m, n = a.shape

@@ -64,7 +64,11 @@ def svd(a) -> SvdFactors:
     The factors are numpy's as they come, so sigma is inf where it overflows;
     :func:`scaled_pinv` factors a / 2**k instead.
     """
-    a = as_matrix(a)
+    return _svd(as_matrix(a))
+
+
+def _svd(a: np.ndarray) -> SvdFactors:
+    """:func:`svd` of a matrix :func:`as_matrix` has already checked, uncopied."""
     m, n = a.shape
     try:
         if m < n:
@@ -96,22 +100,28 @@ def pinv_from_factors(
 ) -> tuple[np.ndarray, RankInfo]:
     """Pseudoinverse v @ pinv(S) @ u.T from precomputed factors, plus the rank used."""
     info = numerical_rank(factors, rel_tol)
-    kept = factors.sigma > info.rank_tolerance
-    inverted = np.divide(1.0, factors.sigma, out=np.zeros(kept.size), where=kept)
-    return (factors.v * inverted) @ factors.u.T, info
+    inverted = np.zeros(factors.sigma.size)
+    keep = factors.sigma > info.rank_tolerance
+    inverted[keep] = 1.0 / factors.sigma[keep]
+    result = (factors.v * inverted) @ factors.u.T
+    return result, info
 
 
-def scaled_pinv(a: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL):
-    """(x, pinv(x), pinv(a), rank used) for x = a / 2**k, k the binary exponent of
-    max|a|: the exact scaling puts max|x| in [0.5, 1), so x factors and inverts at
-    any magnitude, and pinv(a) = pinv(x) / 2**k is inf only where it overflows."""
-    k = int(np.frexp(np.abs(a).max(initial=0.0))[1])
+def scaled_pinv(
+    a: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, RankInfo]:
+    """(x, pinv(x), pinv(a), rank used) for a matrix ``a`` as :func:`as_matrix`
+    returns it and x = a / 2**k, k the binary exponent of max|a|: the exact
+    scaling puts max|x| in [0.5, 1), so x factors and inverts at any magnitude,
+    and pinv(a) = pinv(x) / 2**k is inf only where it overflows. x is fresh, so
+    it is factored without a further copy."""
+    k = int(np.frexp(np.abs(a).max())[1])
     x = np.ldexp(a, -k)
-    x_pinv, info = pinv_from_factors(svd(x), rel_tol)
+    x_pinv, info = pinv_from_factors(_svd(x), rel_tol)
     return x, x_pinv, np.ldexp(x_pinv, -k), info
 
 
 def pinv(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with singular values at or below the rank
     cutoff zeroed instead of inverted."""
-    return scaled_pinv(np.asarray(a, dtype=float), rel_tol)[2]
+    return scaled_pinv(as_matrix(a), rel_tol)[2]

@@ -53,7 +53,9 @@ COMMANDS = [
 ]
 CLI_OUTPUTS = ("json", "table", "csv")
 EDGE_OUTPUTS = ("json",)
-EDGE_COMMANDS = {"unconverged-bidiagonal": [["compute", "--method", "uc"], ["check", "--method", "uc"]]}
+EDGE_COMMANDS = {
+    "unconverged-bidiagonal": [["compute", "--method", "uc"], ["check", "--method", "uc"]]
+}
 
 
 def _edge_inputs() -> dict[str, str]:
@@ -159,6 +161,7 @@ def stored(group: str) -> dict[str, str]:
 
 
 def regenerate() -> None:
+    """Rewrite every snapshot file, removing those no run produces any more."""
     for group in groups():
         for stale in stored(group):
             (HERE / stale).unlink()

@@ -352,12 +352,13 @@ def test_all_balances_strict_and_uc_alike(tmp_path, capsys):
 )
 def test_cli_computes_each_result_once(monkeypatch, capsys, argv, balances, factorizations):
     # the package re-exports balance and svd under their modules' names, so
-    # the modules are taken from the import system
+    # the modules are taken from the import system; every factorization runs
+    # through svd._svd
     modules = [
         importlib.import_module(f"ucrga.{name}")
         for name in ("balance", "svd", "inverse", "rga", "cli")
     ]
-    originals = {"balance": modules[0].balance, "svd": modules[1].svd}
+    originals = {"balance": modules[0].balance, "_svd": modules[1]._svd}
     calls = Counter()
 
     def counted(name):
@@ -373,7 +374,7 @@ def test_cli_computes_each_result_once(monkeypatch, capsys, argv, balances, fact
                 monkeypatch.setattr(module, name, counted(name))
     assert main([*argv, "--input", PLANT_CSV, "--output", "json"]) == EXIT_OK
     capsys.readouterr()
-    assert (calls["balance"], calls["svd"]) == (balances, factorizations)
+    assert (calls["balance"], calls["_svd"]) == (balances, factorizations)
 
 
 def test_check_csv_output_lists_checks(capsys):
@@ -502,7 +503,7 @@ def test_module_entry_point():
 
 
 def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
-    # the report (about 170 KB) outgrows the pipe buffer, so the write fails
+    # the report (about 180 KB) outgrows the pipe buffer, so the write fails
     # once the reader has closed its end
     path = tmp_path / "plant.csv"
     path.write_text(format_csv(np.random.default_rng(3).standard_normal((80, 80))))
