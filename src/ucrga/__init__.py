@@ -40,15 +40,7 @@ from .rga import (
     uc_consistency_residual,
     uc_inverse,
 )
-from .svd import (
-    DEFAULT_RANK_TOL,
-    RankInfo,
-    SvdConvergenceError,
-    SvdFactors,
-    numerical_rank,
-    pinv,
-    svd,
-)
+from .svd import DEFAULT_RANK_TOL, RankInfo, SvdConvergenceError, pinv
 
 __version__ = "1.0.0"
 
@@ -65,7 +57,6 @@ __all__ = [
     "ScalingDecomposition",
     "SingularMatrixError",
     "SvdConvergenceError",
-    "SvdFactors",
     "apply_diag",
     "as_matrix",
     "as_permutation",
@@ -75,7 +66,6 @@ __all__ = [
     "format_csv",
     "matrix_from_json",
     "matrix_to_json",
-    "numerical_rank",
     "parse_csv",
     "permute",
     "pinv",
@@ -85,7 +75,6 @@ __all__ = [
     "rga_summary",
     "rga_uc",
     "scaling_invariance_residual",
-    "svd",
     "uc_consistency_residual",
     "uc_inverse",
 ]

@@ -78,14 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--output", choices=["table", "json", "csv"], default="table")
         p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
-        p.add_argument("--seed", type=int, default=42, help="seed for randomized checks")
-        p.add_argument("--digits", type=_digits, default=4, help="decimals in table output")
+        p.add_argument("--seed", type=_non_negative_int, default=42, help="seed for randomized checks")
+        p.add_argument("--digits", type=_non_negative_int, default=4, help="decimals in table output")
         p.set_defaults(handler=handler)
     return parser
 
 
-def _digits(text: str) -> int:
-    """The --digits value: a non-negative integer, checked before any output."""
+def _non_negative_int(text: str) -> int:
+    """A --seed or --digits value: a non-negative integer, checked before any output."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)

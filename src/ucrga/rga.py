@@ -226,6 +226,10 @@ def rga_routes(g, methods, rank_tol: float = DEFAULT_RANK_TOL) -> dict[str, RgaR
     Strict and uc share one :func:`rga_uc` result, strict taking it through
     :func:`strict_from_uc`.
     """
+    if isinstance(methods, str):
+        raise TypeError(
+            f"methods must be a sequence of names such as ({methods!r},), not a string"
+        )
     for method in methods:
         if method not in ("strict", "mp", "uc"):
             raise ValueError(f"method must be 'strict', 'mp' or 'uc', got {method!r}")

@@ -181,6 +181,7 @@ def test_deeply_nested_json_exits_1_with_no_output(capsys):
         ["compute"],
         ["compute", "--input", PLANT_CSV, "--method", "exact"],
         ["compute", "--input", PLANT_CSV, "--digits", "-1"],
+        ["check", "--input", PLANT_CSV, "--seed", "-1"],
         # the sweep cap and the balancing tolerance are constants, not flags
         ["compute", "--input", PLANT_CSV, "--max-iter", "1"],
         ["check", "--input", PLANT_CSV, "--balance-tol", "nan"],
@@ -189,6 +190,7 @@ def test_deeply_nested_json_exits_1_with_no_output(capsys):
         "missing-input",
         "unknown-method",
         "negative-digits",
+        "negative-seed",
         "removed-max-iter",
         "removed-balance-tol",
     ],
@@ -351,14 +353,14 @@ def test_all_balances_strict_and_uc_alike(tmp_path, capsys):
     ],
 )
 def test_cli_computes_each_result_once(monkeypatch, capsys, argv, balances, factorizations):
-    # the package re-exports balance and svd under their modules' names, so
-    # the modules are taken from the import system; every factorization runs
-    # through svd._svd
+    # the package re-exports balance under its module's name, so the modules
+    # are taken from the import system; every factorization runs through
+    # svd.scaled_pinv
     modules = [
         importlib.import_module(f"ucrga.{name}")
         for name in ("balance", "svd", "inverse", "rga", "cli")
     ]
-    originals = {"balance": modules[0].balance, "_svd": modules[1]._svd}
+    originals = {"balance": modules[0].balance, "scaled_pinv": modules[1].scaled_pinv}
     calls = Counter()
 
     def counted(name):
@@ -374,7 +376,7 @@ def test_cli_computes_each_result_once(monkeypatch, capsys, argv, balances, fact
                 monkeypatch.setattr(module, name, counted(name))
     assert main([*argv, "--input", PLANT_CSV, "--output", "json"]) == EXIT_OK
     capsys.readouterr()
-    assert (calls["balance"], calls["_svd"]) == (balances, factorizations)
+    assert (calls["balance"], calls["scaled_pinv"]) == (balances, factorizations)
 
 
 def test_check_csv_output_lists_checks(capsys):

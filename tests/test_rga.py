@@ -1,6 +1,5 @@
 """Tests for the three RGA routes and their structural properties."""
 
-import importlib
 from collections import Counter
 
 import numpy as np
@@ -259,14 +258,12 @@ def test_routes_balance_and_factor_strict_and_uc_once(monkeypatch):
 
         return wrapper
 
-    # every factorization runs through svd._svd; the package re-exports svd
-    # under its module's name, so the module is taken from the import system
-    svd_module = importlib.import_module("ucrga.svd")
-    for module, name in ((rga_module, "balance"), (svd_module, "_svd")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    # every factorization runs through svd.scaled_pinv, which rga imports
+    for name in ("balance", "scaled_pinv"):
+        monkeypatch.setattr(rga_module, name, counted(name, getattr(rga_module, name)))
     results = rga_routes(PLANT, ("strict", "mp", "uc"))
     # one balance and one factorization for strict and uc, one for mp
-    assert (calls["balance"], calls["_svd"]) == (1, 2)
+    assert (calls["balance"], calls["scaled_pinv"]) == (1, 2)
     assert list(results) == ["strict", "mp", "uc"]
     assert results["strict"].rga is results["uc"].rga
     assert results["strict"].method == "strict" and results["uc"].method == "uc"
@@ -333,6 +330,12 @@ def test_scaling_invariance_rejects_unknown_method():
     base = {"qr": rga_uc(PLANT)}
     with pytest.raises(ValueError, match="method"):
         scaling_invariance_residual(PLANT, base, np.ones(3), np.ones(3))
+
+
+def test_routes_reject_a_bare_string():
+    # a string is a sequence of one-letter names, none of them a route
+    with pytest.raises(TypeError, match=r"\('uc',\)"):
+        rga_routes(PLANT, "uc")
 
 
 @pytest.mark.parametrize(

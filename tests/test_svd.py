@@ -1,23 +1,23 @@
-"""Tests for the SVD wrapper, numerical rank, and the pseudoinverse."""
+"""Tests for the numerical rank and the pseudoinverse."""
 
 import numpy as np
 import pytest
 
-from ucrga.svd import (
-    RankInfo,
-    SvdFactors,
-    numerical_rank,
-    pinv,
-    pinv_from_factors,
-    scaled_pinv,
-    svd,
-)
+from ucrga.svd import RankInfo, pinv, scaled_pinv
 
 from golden import PLANT, STACKED_PLANT, COLUMN_FACTORS, RESCALED_PLANT
 from suites import rank_controlled_suite
 
 # shapes up to 8x8, rectangular and rank-deficient included
 SVD_SUITE = rank_controlled_suite(count=200, seed=99, max_rows=8, max_cols=8)
+
+# wide input is factored through its transpose, so wide, single-row and
+# single-column shapes are held to the same contract
+_rng = np.random.default_rng(2000)
+LONG_SHAPES = [
+    _rng.standard_normal(shape)
+    for shape in ((30, 1000), (50, 2000), (1, 9), (1, 1000), (9, 1), (1000, 1))
+]
 
 
 def det3_by_cofactors(a):
@@ -33,27 +33,38 @@ def det3_by_cofactors(a):
     )
 
 
+def rank(a):
+    return scaled_pinv(np.asarray(a, dtype=float))[3].numerical_rank
+
+
 def test_svd_diagonal_input():
-    np.testing.assert_allclose(svd(np.diag([3.0, 2.0])).sigma, [3.0, 2.0], atol=1e-12)
+    # diag(3, 2) is factored as diag(0.75, 0.5): the exponent of 3 is 2
+    info = scaled_pinv(np.diag([3.0, 2.0]))[3]
+    assert (info.numerical_rank, info.largest_sv) == (2, 0.75)
 
 
 def test_svd_ones_is_rank_one_norm_three():
-    np.testing.assert_allclose(svd(np.ones((3, 3))).sigma, [3.0, 0.0, 0.0], atol=1e-12)
+    # ones(3, 3) / 2 has the single nonzero singular value 3 / 2
+    info = scaled_pinv(np.ones((3, 3)))[3]
+    assert info.numerical_rank == 1
+    assert abs(info.largest_sv - 1.5) <= 1e-15
 
 
 def test_plant_has_full_rank():
     # independent oracle: nonzero exact determinant implies rank 3
     assert det3_by_cofactors(PLANT) == 68.0
-    info = numerical_rank(svd(PLANT))
-    assert info.numerical_rank == 3
+    assert rank(PLANT) == 3
 
 
 def test_numerical_rank_ones():
-    assert numerical_rank(svd(np.ones((3, 3)))).numerical_rank == 1
+    # the 2x2 of 1.5e308 has an infinite largest singular value, 3e308,
+    # unless it is scaled first
+    for g in (np.ones((3, 3)), np.full((2, 2), 1.5e308)):
+        assert rank(g) == 1
 
 
 def test_numerical_rank_zero_matrix():
-    info = numerical_rank(svd(np.zeros((3, 4))))
+    info = scaled_pinv(np.zeros((3, 4)))[3]
     assert info.numerical_rank == 0
     assert info.largest_sv == 0.0
 
@@ -63,14 +74,14 @@ def test_numerical_rank_stacked_plant():
     # (exact construction in golden.py), so the column space is the left
     # block's and the rank is 3
     np.testing.assert_array_equal(PLANT * COLUMN_FACTORS, RESCALED_PLANT)
-    assert numerical_rank(svd(STACKED_PLANT)).numerical_rank == 3
+    assert rank(STACKED_PLANT) == 3
 
 
 def test_numerical_rank_requires_positive_tolerance():
     # a NaN cutoff would keep no singular value and report rank 0
     for rel_tol in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
-            numerical_rank(svd(PLANT), rel_tol=rel_tol)
+            pinv(PLANT, rel_tol=rel_tol)
 
 
 def test_pinv_identity():
@@ -95,27 +106,16 @@ def test_pinv_singular_diagonal():
 
 
 def test_factor_invariants_on_suite():
-    # wide input is factored through its transpose, so wide, single-row and
-    # single-column shapes are held to the same thin contract
-    rng = np.random.default_rng(2000)
-    shapes = ((30, 1000), (50, 2000), (1, 9), (1, 1000), (9, 1), (1000, 1))
-    extra = [rng.standard_normal(shape) for shape in shapes]
-    for g in [g for g, _ in SVD_SUITE[:80]] + extra:
-        f = svd(g)
-        m, n = f.shape
-        k = min(m, n)
-        # thin factors: only the k singular directions are computed
-        assert f.u.shape == (m, k) and f.v.shape == (n, k) and f.sigma.shape == (k,)
-        assert np.abs(f.u.T @ f.u - np.eye(k)).max() <= 1e-10
-        assert np.abs(f.v.T @ f.v - np.eye(k)).max() <= 1e-10
-        assert np.all(np.diff(f.sigma) <= 0) and np.all(f.sigma >= 0)
-        reconstruction = (f.u[:, :k] * f.sigma) @ f.v[:, :k].T
-        assert np.abs(reconstruction - g).max() <= 1e-10
-        assert np.abs(f.sigma - np.linalg.svd(g, compute_uv=False)).max() <= 1e-13 * f.sigma[0]
+    # the rank decision reads the singular values of x = g / 2**k
+    for g in [g for g, _ in SVD_SUITE[:80]] + LONG_SHAPES:
+        x, _, _, info = scaled_pinv(g)
+        sigma = np.linalg.svd(x, compute_uv=False)
+        assert abs(info.largest_sv - sigma[0]) <= 1e-13 * sigma[0]
+        assert info.rank_tolerance == 1e-12 * info.largest_sv * max(g.shape)
 
 
 def test_penrose_conditions_on_suite():
-    for g, _ in SVD_SUITE:
+    for g in [g for g, _ in SVD_SUITE] + LONG_SHAPES:
         gp = pinv(g)
         scale_g = np.abs(g).max()
         scale_gp = np.abs(gp).max()
@@ -149,16 +149,14 @@ def test_pinv_matches_gaussian_elimination_inverse():
 
 
 def test_svd_is_deterministic():
-    f1 = svd(PLANT)
-    f2 = svd(PLANT)
-    assert np.array_equal(f1.u, f2.u)
-    assert np.array_equal(f1.sigma, f2.sigma)
-    assert np.array_equal(f1.v, f2.v)
+    first, second = scaled_pinv(PLANT), scaled_pinv(PLANT)
+    for a, b in zip(first[:3], second[:3]):
+        assert np.array_equal(a, b)
+    assert first[3] == second[3]
 
 
 def test_pinv_from_factors_reports_rank_used():
-    factors = svd(STACKED_PLANT)
-    result, info = pinv_from_factors(factors)
+    _, _, result, info = scaled_pinv(STACKED_PLANT)
     assert isinstance(info, RankInfo)
     assert info.numerical_rank == 3
     assert result.shape == (6, 3)
@@ -173,9 +171,9 @@ def test_pinv_commutes_exactly_with_powers_of_two(shift):
         assert 0.5 <= np.abs(x).max() < 1.0
         assert np.array_equal(pinv(np.ldexp(g, shift)), np.ldexp(pinv(g), -shift))
         assert np.array_equal(g_pinv, pinv(np.ldexp(g, shift)))
-        assert info.numerical_rank == numerical_rank(svd(g)).numerical_rank
+        assert info.numerical_rank == rank(g)
 
 
 def test_svd_rejects_non_finite():
     with pytest.raises(ValueError):
-        svd([[1.0, np.nan]])
+        pinv([[1.0, np.nan]])
