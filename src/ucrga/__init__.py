@@ -40,12 +40,11 @@ from .rga import (
     uc_consistency_residual,
     uc_inverse,
 )
-from .svd import DEFAULT_RANK_TOL, RankInfo, SvdConvergenceError, pinv
+from .svd import RankInfo, SvdConvergenceError, pinv
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "DEFAULT_RANK_TOL",
     "SUMMARY_TOL",
     "Check",
     "DimensionError",

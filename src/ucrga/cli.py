@@ -34,7 +34,7 @@ from .rga import (
     scaling_invariance_residual,
     strict_from_uc,
 )
-from .svd import DEFAULT_RANK_TOL, SvdConvergenceError
+from .svd import SvdConvergenceError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -49,6 +49,9 @@ IDENTITY_TOL = 1e-8
 CHECK_SCALE_LOW = 1e-3
 CHECK_SCALE_HIGH = 1e3
 
+# any float64's exact decimal expansion ends within 1074 places
+MAX_DIGITS = 1074
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -61,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("compare", "compute both the MP and UC variants and their disagreement", _cmd_compare),
         ("check", "run the property suite (equivariance, invariance, identities, sums)", _cmd_check),
     ]
+    # compare always runs mp and uc, and compute draws nothing
     for name, help_text, handler in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="path to the matrix file")
@@ -70,16 +74,17 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="input format (default: inferred from the file extension)",
         )
-        p.add_argument(
-            "--method",
-            choices=["strict", "mp", "uc", "all"],
-            default="uc",
-            help="RGA variant (default: uc; ignored by compare, which always runs mp and uc)",
-        )
+        if name != "compare":
+            p.add_argument(
+                "--method",
+                choices=["strict", "mp", "uc", "all"],
+                default="uc",
+                help="RGA variant (default: uc)",
+            )
         p.add_argument("--output", choices=["table", "json", "csv"], default="table")
-        p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
-        p.add_argument("--seed", type=_non_negative_int, default=42, help="seed for randomized checks")
-        p.add_argument("--digits", type=_non_negative_int, default=4, help="decimals in table output")
+        if name != "compute":
+            p.add_argument("--seed", type=_non_negative_int, default=42, help="seed for randomized checks")
+        p.add_argument("--digits", type=_digits, default=4, help="decimals in table output")
         p.set_defaults(handler=handler)
     return parser
 
@@ -89,6 +94,13 @@ def _non_negative_int(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _digits(text: str) -> int:
+    """A --digits value: a non-negative integer no larger than MAX_DIGITS."""
+    if (digits := _non_negative_int(text)) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DIGITS}, got {text}")
+    return digits
 
 
 def _load_matrix(path: str, fmt: str | None) -> np.ndarray:
@@ -181,8 +193,8 @@ def _results(g: np.ndarray, args) -> list[RgaResult]:
     """The RGA by each requested method; --method all drops strict (with a
     warning) when it does not apply."""
     if args.method != "all":
-        return list(rga_routes(g, [args.method], args.rank_tol).values())
-    results = rga_routes(g, ("uc", "mp"), args.rank_tol)
+        return list(rga_routes(g, [args.method]).values())
+    results = rga_routes(g, ("uc", "mp"))
     try:
         strict = [strict_from_uc(results["uc"])]
     except (DimensionError, SingularMatrixError) as exc:
@@ -201,11 +213,11 @@ def _cmd_compute(args) -> int:
 def _cmd_compare(args) -> int:
     g = _load_matrix(args.input, args.format)
     m, n = g.shape
-    results = rga_routes(g, ("mp", "uc"), args.rank_tol)
+    results = rga_routes(g, ("mp", "uc"))
     difference = float(np.abs(results["mp"].rga - results["uc"].rga).max())
     rng = np.random.default_rng(args.seed)
     d, e = _log_uniform(rng, m), _log_uniform(rng, n)
-    residual = scaling_invariance_residual(g, results, d, e, args.rank_tol)
+    residual = scaling_invariance_residual(g, results, d, e)
     pairs = [(r, list(rga_summary(r).checks)) for r in results.values()]
 
     if args.output == "json":
@@ -237,13 +249,13 @@ def _property_checks(
     """The summary checks, equivariance under the permutation ``orders``
     (``permuted`` being the route's result on the permuted copy of g),
     invariance under rescaling (``scaled_change`` being the change it made),
-    and the generalized-inverse identities of x and pinv(x), x being the
-    matrix the RGA was formed from: g for mp, the balanced core (free of
-    units) for uc and strict."""
+    and the generalized-inverse identities of x = X / 2**exponent and pinv(x),
+    X being g for mp and the balanced core (free of units) for uc and strict:
+    the identities are homogeneous, and pinv(x), unlike pinv(g), cannot overflow."""
     checks = list(rga_summary(result).checks)
     permuted_change = relative_change(permuted.rga, permute(result.rga, *orders))
     x = g if result.decomposition is None else result.decomposition.core
-    residuals = check_gi_identities(x, result.core_pinv)
+    residuals = check_gi_identities(np.ldexp(x, -result.exponent), result.x_pinv)
     return checks + [
         Check(name, value, threshold, value <= threshold, False)
         for name, value, threshold in (
@@ -263,9 +275,9 @@ def _cmd_check(args) -> int:
     # not depend on which other routes ran
     rng = np.random.default_rng(args.seed)
     orders = (rng.permutation(m), rng.permutation(n))
-    permuted = rga_routes(permute(g, *orders), list(base), args.rank_tol)
+    permuted = rga_routes(permute(g, *orders), list(base))
     d, e = _log_uniform(rng, m), _log_uniform(rng, n)
-    scaled = scaling_invariance_residual(g, base, d, e, args.rank_tol)
+    scaled = scaling_invariance_residual(g, base, d, e)
     pairs = [
         (result, _property_checks(g, result, permuted[method], scaled[method], orders))
         for method, result in base.items()

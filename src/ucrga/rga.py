@@ -38,7 +38,7 @@ import numpy as np
 from .balance import ScalingDecomposition, balance
 from .inverse import relative_change
 from .matrix import DimensionError, apply_diag, as_matrix, as_scaling
-from .svd import DEFAULT_RANK_TOL, scaled_pinv
+from .svd import scaled_pinv
 
 __all__ = [
     "SUMMARY_TOL",
@@ -70,9 +70,9 @@ class RgaResult:
     ``numerical_rank`` is the rank actually used to form the inverse: the
     rank of the input under the cutoff for the Moore-Penrose route, and the
     rank of the balanced core for the unit-consistent and strict routes (for
-    strict always the full dimension). ``core_pinv`` is pinv(x) for the x the
-    RGA was formed from, and ``decomposition`` the balancing that gave x
-    (None for the Moore-Penrose route, whose x is the input itself).
+    strict always the full dimension). ``x_pinv`` is pinv(x) for the x =
+    X / 2**exponent the RGA was formed from, and ``decomposition`` the
+    balancing that gave X (None for the Moore-Penrose route, whose X is g).
     """
 
     rga: np.ndarray
@@ -81,7 +81,8 @@ class RgaResult:
     row_sums: np.ndarray
     col_sums: np.ndarray
     element_sum: float
-    core_pinv: np.ndarray
+    x_pinv: np.ndarray
+    exponent: int
     decomposition: ScalingDecomposition | None
 
     @property
@@ -93,9 +94,10 @@ class RgaResult:
     def inverse(self) -> np.ndarray:
         """The generalized inverse the RGA was formed from, formed on each read:
         pinv(g) for the Moore-Penrose route, E @ pinv(core) @ D otherwise."""
+        x_pinv = np.ldexp(self.x_pinv, -self.exponent)
         if self.decomposition is None:
-            return self.core_pinv
-        return self.decomposition.unscale_inverse(self.core_pinv)
+            return x_pinv
+        return self.decomposition.unscale_inverse(x_pinv)
 
 
 @dataclass(frozen=True)
@@ -119,14 +121,9 @@ class PropertyReport:
         return all(c.passed for c in self.checks if not c.informational)
 
 
-def _route(
-    x: np.ndarray,
-    rank_tol: float,
-    method: str,
-    decomposition: ScalingDecomposition | None,
-) -> RgaResult:
+def _route(x: np.ndarray, method: str, decomposition: ScalingDecomposition | None) -> RgaResult:
     """x * pinv(x).T, the RGA every route computes, from :func:`scaled_pinv`."""
-    x, x_pinv, core_pinv, info = scaled_pinv(x, rank_tol)
+    x, x_pinv, exponent, info = scaled_pinv(x)
     rga = x * x_pinv.T
     return RgaResult(
         rga=rga,
@@ -135,33 +132,34 @@ def _route(
         row_sums=rga.sum(axis=1),
         col_sums=rga.sum(axis=0),
         element_sum=float(rga.sum()),
-        core_pinv=core_pinv,
+        x_pinv=x_pinv,
+        exponent=exponent,
         decomposition=decomposition,
     )
 
 
-def rga_strict(g, rank_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
+def rga_strict(g) -> RgaResult:
     """Classical RGA g * inv(g).T of a nonsingular square matrix, computed by
     the unit-consistent route, which equals it on such input.
 
     SingularMatrixError (pointing at :func:`rga_mp` / :func:`rga_uc`) is
-    raised when the balanced core's numerical rank under ``rank_tol`` falls
-    short of the dimension; the core does not depend on the units of ``g``,
-    so neither does that decision.
+    raised when the balanced core's numerical rank under the cutoff
+    ``svd.RANK_TOL`` falls short of the dimension; the core does not depend on
+    the units of ``g``, so neither does that decision.
     """
-    return strict_from_uc(rga_uc(g, rank_tol))
+    return strict_from_uc(rga_uc(g))
 
 
-def rga_mp(g, rank_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
+def rga_mp(g) -> RgaResult:
     """RGA generalized through the Moore-Penrose pseudoinverse: g * pinv(g).T.
 
     Defined for any shape and rank, but not invariant under diagonal
     rescaling of rows or columns (see :func:`scaling_invariance_residual`).
     """
-    return _route(as_matrix(g), rank_tol, "mp", None)
+    return _route(as_matrix(g), "mp", None)
 
 
-def rga_uc(g, rank_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
+def rga_uc(g) -> RgaResult:
     """RGA generalized through the unit-consistent inverse: g * uc_inverse(g).T,
     computed as core * pinv(core).T over the balanced core of ``g``.
 
@@ -171,10 +169,10 @@ def rga_uc(g, rank_tol: float = DEFAULT_RANK_TOL) -> RgaResult:
     adversarial sparsity patterns) is reported in ``balancer_converged``, not raised.
     """
     dec = balance(g)
-    return _route(dec.core, rank_tol, "uc", dec)
+    return _route(dec.core, "uc", dec)
 
 
-def uc_inverse(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def uc_inverse(a) -> np.ndarray:
     """Unit-consistent generalized inverse (n-by-m for m-by-n input): the
     ``inverse`` of :func:`rga_uc`.
 
@@ -187,10 +185,10 @@ def uc_inverse(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
     With a = inv(D) @ core @ inv(E) from balancing, it is E @ pinv(core) @ D.
     """
-    return rga_uc(a, rank_tol).inverse
+    return rga_uc(a).inverse
 
 
-def uc_consistency_residual(a, d, e, rank_tol: float = DEFAULT_RANK_TOL) -> float:
+def uc_consistency_residual(a, d, e) -> float:
     """Residual of the diagonal-consistency identity.
 
     Computes diag(e) @ uc_inverse(diag(d) @ a @ diag(e)) @ diag(d) and returns
@@ -201,8 +199,8 @@ def uc_consistency_residual(a, d, e, rank_tol: float = DEFAULT_RANK_TOL) -> floa
     a = as_matrix(a)
     d = as_scaling(d, a.shape[0])
     e = as_scaling(e, a.shape[1])
-    base = uc_inverse(a, rank_tol)
-    mapped = apply_diag(e, uc_inverse(apply_diag(d, a, e), rank_tol), d)
+    base = uc_inverse(a)
+    mapped = apply_diag(e, uc_inverse(apply_diag(d, a, e)), d)
     return relative_change(mapped, base)
 
 
@@ -219,7 +217,7 @@ def strict_from_uc(result: RgaResult) -> RgaResult:
     return replace(result, method="strict")
 
 
-def rga_routes(g, methods, rank_tol: float = DEFAULT_RANK_TOL) -> dict[str, RgaResult]:
+def rga_routes(g, methods) -> dict[str, RgaResult]:
     """The RGA by each route named in ``methods`` ('strict', 'mp' or 'uc'),
     keyed in that order.
 
@@ -237,17 +235,15 @@ def rga_routes(g, methods, rank_tol: float = DEFAULT_RANK_TOL) -> dict[str, RgaR
     uc = None
     for method in methods:
         if method == "mp":
-            results[method] = rga_mp(g, rank_tol)
+            results[method] = rga_mp(g)
             continue
         if uc is None:
-            uc = rga_uc(g, rank_tol)
+            uc = rga_uc(g)
         results[method] = strict_from_uc(uc) if method == "strict" else uc
     return results
 
 
-def scaling_invariance_residual(
-    g, base: dict[str, RgaResult], d, e, rank_tol: float = DEFAULT_RANK_TOL
-) -> dict[str, float]:
+def scaling_invariance_residual(g, base: dict[str, RgaResult], d, e) -> dict[str, float]:
     """Relative max-abs change of each RGA in ``base`` (as :func:`rga_routes`
     gave them for ``g``) when the routes run again on g under row scaling
     ``d`` and column scaling ``e``, keyed like ``base``.
@@ -262,7 +258,7 @@ def scaling_invariance_residual(
     g = np.asarray(g, dtype=float)
     d, e = as_scaling(d, g.shape[0]), as_scaling(e, g.shape[1])
     rescaled = apply_diag(d, np.ldexp(g, _range_shift(g, d, e)), e)
-    scaled = rga_routes(rescaled, list(base), rank_tol)
+    scaled = rga_routes(rescaled, list(base))
     return {method: relative_change(scaled[method].rga, r.rga) for method, r in base.items()}
 
 

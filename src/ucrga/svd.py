@@ -1,11 +1,11 @@
-"""The Moore-Penrose pseudoinverse with explicit numerical-rank control.
+"""The Moore-Penrose pseudoinverse under one fixed numerical-rank rule.
 
 :func:`scaled_pinv` is the one place the package factors a matrix, decides
 its rank and inverts its singular values. A singular value counts toward the
-rank, and is inverted, only if it exceeds ``rel_tol * largest_sv * max(m, n)``,
+rank, and is inverted, only if it exceeds ``RANK_TOL * largest_sv * max(m, n)``,
 so reported ranks and inverted directions always agree. The rule is applied
 to a / 2**k, which factors at any magnitude, so no rank depends on the
-overall scale of a.
+overall scale of a, and the relative cutoff is a constant, not a parameter.
 """
 
 from dataclasses import dataclass
@@ -15,14 +15,14 @@ import numpy as np
 from .matrix import as_matrix
 
 __all__ = [
-    "DEFAULT_RANK_TOL",
+    "RANK_TOL",
     "SvdConvergenceError",
     "RankInfo",
     "pinv",
     "scaled_pinv",
 ]
 
-DEFAULT_RANK_TOL = 1e-12
+RANK_TOL = 1e-12
 
 
 class SvdConvergenceError(RuntimeError):
@@ -41,21 +41,15 @@ class RankInfo:
     largest_sv: float
 
 
-def scaled_pinv(
-    a: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, RankInfo]:
-    """(x, pinv(x), pinv(a), rank used) for a matrix ``a`` as :func:`as_matrix`
+def scaled_pinv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, RankInfo]:
+    """(x, pinv(x), k, rank used) for a matrix ``a`` as :func:`as_matrix`
     returns it and x = a / 2**k, k the binary exponent of max|a|: the exact
     scaling puts max|x| in [0.5, 1), so x factors and inverts at any magnitude,
-    and pinv(a) = pinv(x) / 2**k is inf only where it overflows. x is fresh, so
-    it is factored without a further copy.
+    and pinv(a) = pinv(x) / 2**k is left to the caller, who may not need it
+    where it overflows. x is fresh, so it is factored without a further copy.
 
-    Raises ValueError for a ``rel_tol`` that is not positive and finite (a NaN
-    cutoff would keep no singular value), and SvdConvergenceError if the SVD
-    iteration does not converge.
+    Raises SvdConvergenceError if the SVD iteration does not converge.
     """
-    if not 0.0 < rel_tol < np.inf:
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     k = int(np.frexp(np.abs(a).max())[1])
     x = np.ldexp(a, -k)
     m, n = x.shape
@@ -69,18 +63,16 @@ def scaled_pinv(
     # x = u @ diag(sigma) @ v.T; for a wide x, x.T = u @ diag(sigma) @ vt
     u, v = (vt.T, u) if wide else (u, vt.T)
     largest = float(sigma[0])
-    cutoff = rel_tol * largest * max(m, n)
+    cutoff = RANK_TOL * largest * max(m, n)
     keep = sigma > cutoff
     inverted = np.zeros(sigma.size)
     inverted[keep] = 1.0 / sigma[keep]
-    x_pinv = (v * inverted) @ u.T
-    # the factors are dropped before ldexp allocates the m-by-n pinv(a)
-    del u, v, vt
     info = RankInfo(int(np.count_nonzero(keep)), cutoff, largest)
-    return x, x_pinv, np.ldexp(x_pinv, -k), info
+    return x, (v * inverted) @ u.T, k, info
 
 
-def pinv(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse with singular values at or below the rank
     cutoff zeroed instead of inverted."""
-    return scaled_pinv(as_matrix(a), rel_tol)[2]
+    _, x_pinv, k, _ = scaled_pinv(as_matrix(a))
+    return np.ldexp(x_pinv, -k)

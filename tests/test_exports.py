@@ -1,10 +1,13 @@
 """The package's export list against its modules' export lists."""
 
 import importlib
+import inspect
 import pkgutil
+import re
 from collections import Counter
 
 import ucrga
+import ucrga.svd
 
 # every public module; __main__ runs the CLI when imported
 MODULES = [
@@ -26,3 +29,14 @@ def test_every_module_export_exists():
     for module in MODULES:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__} exports missing {name}"
+
+
+def test_no_exported_function_takes_a_numerical_knob():
+    # the rank cutoff, the balancing tolerance and the sweep cap are constants
+    knob = re.compile(r"(\w+_)?tol|max_iter")
+    for module in (ucrga, ucrga.svd):
+        for name in module.__all__:
+            function = getattr(module, name)
+            if inspect.isfunction(function):
+                knobs = [p for p in inspect.signature(function).parameters if knob.fullmatch(p)]
+                assert knobs == [], f"{module.__name__}.{name} takes {knobs}"

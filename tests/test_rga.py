@@ -276,12 +276,18 @@ def test_routes_are_keyed_in_the_order_asked():
     assert list(rga_routes(PLANT, ())) == []
 
 
-def test_routes_take_no_balancing_tolerance():
-    # a looser tolerance once stopped the sweep early and still read converged
-    with pytest.raises(TypeError):
-        rga_routes(PLANT, ["uc"], 1e-12, 1e-2)
-    with pytest.raises(TypeError):
-        rga_uc(PLANT, balance_tol=1e-2)
+def test_routes_take_no_tolerance():
+    # a looser balancing tolerance once stopped the sweep early and still read
+    # converged, and a NaN rank cutoff kept no singular value and read rank 0;
+    # both are constants now, balance.BALANCE_TOL and svd.RANK_TOL
+    for call in (
+        lambda: rga_routes(PLANT, ["uc"], 1e-12),
+        lambda: rga_uc(PLANT, balance_tol=1e-2),
+        lambda: rga_mp(PLANT, 1e-6),
+        lambda: pinv(PLANT, rel_tol=1e-6),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_routes_reject_strict_on_rectangular():

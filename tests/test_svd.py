@@ -77,13 +77,6 @@ def test_numerical_rank_stacked_plant():
     assert rank(STACKED_PLANT) == 3
 
 
-def test_numerical_rank_requires_positive_tolerance():
-    # a NaN cutoff would keep no singular value and report rank 0
-    for rel_tol in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            pinv(PLANT, rel_tol=rel_tol)
-
-
 def test_pinv_identity():
     np.testing.assert_allclose(pinv(np.eye(3)), np.eye(3), atol=1e-14)
 
@@ -156,10 +149,11 @@ def test_svd_is_deterministic():
 
 
 def test_pinv_from_factors_reports_rank_used():
-    _, _, result, info = scaled_pinv(STACKED_PLANT)
+    _, x_pinv, k, info = scaled_pinv(STACKED_PLANT)
     assert isinstance(info, RankInfo)
     assert info.numerical_rank == 3
-    assert result.shape == (6, 3)
+    assert x_pinv.shape == (6, 3)
+    assert np.array_equal(np.ldexp(x_pinv, -k), pinv(STACKED_PLANT))
 
 
 @pytest.mark.parametrize("shift", [-1070, -600, -1, 1, 600, 1000])
@@ -167,11 +161,13 @@ def test_pinv_commutes_exactly_with_powers_of_two(shift):
     # pinv factors a / 2**k, k the binary exponent of max|a|, so 2**shift * a
     # is factored as the very same matrix
     for g in (PLANT, STACKED_PLANT, np.ones((2, 3))):
-        x, x_pinv, g_pinv, info = scaled_pinv(np.ldexp(g, shift))
+        x, x_pinv, k, info = scaled_pinv(np.ldexp(g, shift))
+        base_x, base_pinv, base_k, base_info = scaled_pinv(g)
         assert 0.5 <= np.abs(x).max() < 1.0
+        assert np.array_equal(x, base_x) and np.array_equal(x_pinv, base_pinv)
+        assert (k, info) == (base_k + shift, base_info)
         assert np.array_equal(pinv(np.ldexp(g, shift)), np.ldexp(pinv(g), -shift))
-        assert np.array_equal(g_pinv, pinv(np.ldexp(g, shift)))
-        assert info.numerical_rank == rank(g)
+        assert np.array_equal(np.ldexp(x_pinv, -k), pinv(np.ldexp(g, shift)))
 
 
 def test_svd_rejects_non_finite():
