@@ -32,8 +32,8 @@ dec = balance(messy)
 print(f"balanced in closed form (converged: {dec.converged})")
 print("core (unit geometric mean in every row and column):")
 print(dec.core)
-print("row scale factors:   ", dec.left_scale)
-print("column scale factors:", dec.right_scale)
+print("row scale factors:   ", np.exp(dec.left_log))
+print("column scale factors:", np.exp(dec.right_log))
 print()
 
 print("|row products of core|:", np.abs(np.prod(dec.core, axis=1)))

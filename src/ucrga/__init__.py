@@ -31,6 +31,7 @@ from .rga import (
     PropertyReport,
     RgaResult,
     SingularMatrixError,
+    pinv,
     rga_mp,
     rga_routes,
     rga_strict,
@@ -40,7 +41,7 @@ from .rga import (
     uc_consistency_residual,
     uc_inverse,
 )
-from .svd import RankInfo, SvdConvergenceError, pinv
+from .svd import RankInfo
 
 __version__ = "1.0.0"
 
@@ -55,7 +56,6 @@ __all__ = [
     "RgaResult",
     "ScalingDecomposition",
     "SingularMatrixError",
-    "SvdConvergenceError",
     "apply_diag",
     "as_matrix",
     "as_permutation",

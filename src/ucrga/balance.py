@@ -66,23 +66,9 @@ class ScalingDecomposition:
     iterations: int
     final_shift: float
 
-    @property
-    def left_scale(self) -> np.ndarray:
-        return np.exp(self.left_log)
-
-    @property
-    def right_scale(self) -> np.ndarray:
-        return np.exp(self.right_log)
-
     def reconstruct(self) -> np.ndarray:
-        """Undo the scaling: diag(1/left_scale) @ core @ diag(1/right_scale)."""
+        """Undo the scaling: diag(exp(-left_log)) @ core @ diag(exp(-right_log))."""
         return np.exp(-self.left_log)[:, None] * self.core * np.exp(-self.right_log)[None, :]
-
-    def unscale_inverse(self, core_inverse: np.ndarray) -> np.ndarray:
-        """Map an inverse of the core back to the input's units:
-        diag(right_scale) @ core_inverse @ diag(left_scale), where entry (j, i)
-        picks up exp(right_log[j] + left_log[i])."""
-        return core_inverse * np.exp(self.right_log[:, None] + self.left_log[None, :])
 
 
 def balance(a) -> ScalingDecomposition:
@@ -175,9 +161,9 @@ def balance(a) -> ScalingDecomposition:
 def _fit_float_range(logs: np.ndarray, left_log: np.ndarray) -> None:
     """Where exp(logs) would overflow, subtract s * ln 2 from ``logs`` and from
     ``left_log`` in place, which scales the core by 2**-s and leaves
-    ``reconstruct`` and ``unscale_inverse`` as they were. s centres the range of
-    ``logs`` on 0, or only just fits the largest one where that range is wider
-    than float64's."""
+    ``reconstruct`` and the unit-consistent inverse as they were. s centres
+    the range of ``logs`` on 0, or only just fits the largest one where that
+    range is wider than float64's."""
     top = logs.max(initial=-np.inf)
     if top > LOG_MAX:
         s = max(np.ceil((top + logs.min()) / (2 * LN2)), np.ceil((top - LOG_MAX) / LN2))

@@ -34,7 +34,6 @@ from .rga import (
     scaling_invariance_residual,
     strict_from_uc,
 )
-from .svd import SvdConvergenceError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -92,15 +91,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def _non_negative_int(text: str) -> int:
     """A --seed or --digits value: a non-negative integer, checked before any output."""
     if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {_excerpt(text)}")
+    try:
+        return int(text)
+    except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
+        raise argparse.ArgumentTypeError(f"has too many digits, got {_excerpt(text)}") from None
 
 
 def _digits(text: str) -> int:
     """A --digits value: a non-negative integer no larger than MAX_DIGITS."""
     if (digits := _non_negative_int(text)) > MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_DIGITS}, got {text}")
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DIGITS}, got {_excerpt(text)}")
     return digits
+
+
+def _excerpt(text: str) -> str:
+    """``text`` quoted for an error line, cut after 20 characters."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
 def _load_matrix(path: str, fmt: str | None) -> np.ndarray:
@@ -312,8 +319,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: rerun with --method uc (or mp) for singular input", file=sys.stderr)
         return EXIT_SINGULAR
-    except (ValueError, SvdConvergenceError) as exc:
-        # MatrixFormatError and DimensionError are ValueErrors
+    except ValueError as exc:
+        # MatrixFormatError, DimensionError and numpy's LinAlgError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError as exc:

@@ -3,8 +3,8 @@ satisfy: a @ x @ a == a and x @ a @ x == x.
 
 The generalized inverses themselves come with the RGA they form: every
 :class:`~ucrga.rga.RgaResult` carries its own as ``result.inverse``, and
-:func:`~ucrga.rga.uc_inverse` reads the unit-consistent one off
-:func:`~ucrga.rga.rga_uc`.
+:func:`~ucrga.rga.pinv` and :func:`~ucrga.rga.uc_inverse` read it off
+:func:`~ucrga.rga.rga_mp` and :func:`~ucrga.rga.rga_uc`.
 """
 
 from dataclasses import dataclass

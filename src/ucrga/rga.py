@@ -17,8 +17,8 @@ balanced core for UC and strict. With g = inv(D) @ core @ inv(E) the
 unit-consistent inverse is E @ pinv(core) @ D, so in the RGA the scale factors
 cancel exactly. Each result keeps pinv(x) and the scaling, so the generalized
 inverse the RGA was formed from is at hand as ``result.inverse`` without a
-second factorization; :func:`uc_inverse` is that inverse of :func:`rga_uc`,
-and :func:`uc_consistency_residual` measures its diagonal consistency.
+second factorization; :func:`pinv` and :func:`uc_inverse` read it off
+:func:`rga_mp` and :func:`rga_uc`, and :func:`uc_consistency_residual` checks the latter.
 
 The strict RGA is the UC result relabelled (:func:`strict_from_uc`), so
 :func:`rga_routes`, which computes any set of routes by name, balances and
@@ -50,6 +50,7 @@ __all__ = [
     "rga_mp",
     "rga_uc",
     "rga_routes",
+    "pinv",
     "uc_inverse",
     "uc_consistency_residual",
     "scaling_invariance_residual",
@@ -95,9 +96,9 @@ class RgaResult:
         """The generalized inverse the RGA was formed from, formed on each read:
         pinv(g) for the Moore-Penrose route, E @ pinv(core) @ D otherwise."""
         x_pinv = np.ldexp(self.x_pinv, -self.exponent)
-        if self.decomposition is None:
+        if (dec := self.decomposition) is None:
             return x_pinv
-        return self.decomposition.unscale_inverse(x_pinv)
+        return x_pinv * np.exp(dec.right_log[:, None] + dec.left_log[None, :])
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,11 @@ def rga_uc(g) -> RgaResult:
     """
     dec = balance(g)
     return _route(dec.core, "uc", dec)
+
+
+def pinv(a) -> np.ndarray:
+    """Moore-Penrose pseudoinverse under the rank cutoff: the ``inverse`` of :func:`rga_mp`."""
+    return rga_mp(a).inverse
 
 
 def uc_inverse(a) -> np.ndarray:
@@ -253,7 +259,7 @@ def scaling_invariance_residual(g, base: dict[str, RgaResult], d, e) -> dict[str
     Moore-Penrose route whenever rank deficiency or rescaling matters.
 
     No route's RGA depends on an overall constant factor, so g is first
-    shifted by the power of two :func:`_range_shift` picks.
+    shifted by the power of two :func:`_range_shift` picks, or ValueError raised.
     """
     g = np.asarray(g, dtype=float)
     d, e = as_scaling(d, g.shape[0]), as_scaling(e, g.shape[1])
@@ -264,17 +270,18 @@ def scaling_invariance_residual(g, base: dict[str, RgaResult], d, e) -> dict[str
 
 def _range_shift(g: np.ndarray, d: np.ndarray, e: np.ndarray) -> int:
     """The s for which the nonzeros of 2**s * g, of it scaled by d, and of
-    that scaled by e all lie in float64's normal range: 0 when they already
-    do, and 0 when no s can fit them."""
+    that scaled by e all lie in float64's normal range, 0 when they already
+    do; ValueError when no s can fit them, as the copy would overflow or lose
+    a subnormal entry."""
     k_g, k_d, k_e = np.frexp(g)[1], np.frexp(d)[1][:, None], np.frexp(e)[1]
     steps = np.stack([k_g, k_g + k_d, k_g + k_d + k_e])[:, g != 0.0]
     # a product of up to three numbers whose binary exponents sum to k lies
     # in [2**(k-3), 2**k); normal magnitudes are [2**-1022, 2**1024). The
     # range also takes in 2**0, which fits, so an all-zero g gives s = 0.
     low, high = int(steps.min(initial=0)) - 3, int(steps.max(initial=0))
-    if (-1022 <= low and high <= 1023) or high - low > 1023 + 1022:
-        return 0
-    return (1 - low - high) // 2
+    if high - low > 1023 + 1022:
+        raise ValueError("rescaled copy not representable in float64: it spans more than its range")
+    return 0 if -1022 <= low and high <= 1023 else (1 - low - high) // 2
 
 
 def rga_summary(result: RgaResult) -> PropertyReport:

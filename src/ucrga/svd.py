@@ -1,4 +1,4 @@
-"""The Moore-Penrose pseudoinverse under one fixed numerical-rank rule.
+"""The factorization behind every route, under one fixed numerical-rank rule.
 
 :func:`scaled_pinv` is the one place the package factors a matrix, decides
 its rank and inverts its singular values. A singular value counts toward the
@@ -6,27 +6,21 @@ rank, and is inverted, only if it exceeds ``RANK_TOL * largest_sv * max(m, n)``,
 so reported ranks and inverted directions always agree. The rule is applied
 to a / 2**k, which factors at any magnitude, so no rank depends on the
 overall scale of a, and the relative cutoff is a constant, not a parameter.
+``RgaResult.inverse`` in :mod:`ucrga.rga` alone turns pinv(a / 2**k) into a
+generalized inverse of the input.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import as_matrix
-
 __all__ = [
     "RANK_TOL",
-    "SvdConvergenceError",
     "RankInfo",
-    "pinv",
     "scaled_pinv",
 ]
 
 RANK_TOL = 1e-12
-
-
-class SvdConvergenceError(RuntimeError):
-    """Raised when the SVD iteration fails to converge."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +42,7 @@ def scaled_pinv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, RankInfo]:
     and pinv(a) = pinv(x) / 2**k is left to the caller, who may not need it
     where it overflows. x is fresh, so it is factored without a further copy.
 
-    Raises SvdConvergenceError if the SVD iteration does not converge.
+    Raises numpy's LinAlgError, a ValueError, if the SVD does not converge.
     """
     k = int(np.frexp(np.abs(a).max())[1])
     x = np.ldexp(a, -k)
@@ -56,10 +50,7 @@ def scaled_pinv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, RankInfo]:
     # LAPACK reduces a tall matrix by QR and a wide one by LQ, and the QR path
     # is the faster, so a wide x is factored through x.T
     wide = m < n
-    try:
-        u, sigma, vt = np.linalg.svd(x.T if wide else x, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
+    u, sigma, vt = np.linalg.svd(x.T if wide else x, full_matrices=False)
     # x = u @ diag(sigma) @ v.T; for a wide x, x.T = u @ diag(sigma) @ vt
     u, v = (vt.T, u) if wide else (u, vt.T)
     largest = float(sigma[0])
@@ -69,10 +60,3 @@ def scaled_pinv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, RankInfo]:
     inverted[keep] = 1.0 / sigma[keep]
     info = RankInfo(int(np.count_nonzero(keep)), cutoff, largest)
     return x, (v * inverted) @ u.T, k, info
-
-
-def pinv(a) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with singular values at or below the rank
-    cutoff zeroed instead of inverted."""
-    _, x_pinv, k, _ = scaled_pinv(as_matrix(a))
-    return np.ldexp(x_pinv, -k)

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -193,6 +194,11 @@ def test_deeply_nested_json_exits_1_with_no_output(capsys):
         # each subcommand takes only the flags it reads
         ["compare", "--input", PLANT_CSV, "--method", "uc"],
         ["compute", "--input", PLANT_CSV, "--seed", "1"],
+        # more digits than int() reads once named the parser's own function
+        # and echoed the whole value
+        ["check", "--input", PLANT_CSV, "--seed", "9" * 5000],
+        ["compute", "--input", PLANT_CSV, "--digits", "9" * 5000],
+        ["check", "--input", PLANT_CSV, "--seed", "x" * 5000],
     ],
     ids=[
         "missing-input",
@@ -205,6 +211,9 @@ def test_deeply_nested_json_exits_1_with_no_output(capsys):
         "removed-rank-tol",
         "compare-takes-no-method",
         "compute-takes-no-seed",
+        "seed-beyond-int-digits",
+        "digits-beyond-int-digits",
+        "long-non-digit-seed",
     ],
 )
 def test_usage_errors_exit_1_before_any_output(capsys, argv):
@@ -213,6 +222,9 @@ def test_usage_errors_exit_1_before_any_output(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+    last = captured.err.splitlines()[-1]
+    assert len(last) < 200
+    assert re.search(r"(^|\W)_\w", last) is None, last
 
 
 def test_help_exits_0(capsys):
@@ -428,6 +440,34 @@ def test_rescaling_checks_stay_in_the_float_range(tmp_path, capsys, text):
     for argv in (["compare"], *(["check", "--method", m] for m in ("uc", "mp", "strict", "all"))):
         assert main([*argv, "--input", str(path), "--output", "json"]) == EXIT_OK, argv
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3", "4", "5", "42"])
+def test_rescaled_copy_beyond_float64_exits_1_whatever_the_seed(tmp_path, capsys, seed):
+    # g spans more than float64, so no power of two fits its rescaled copy;
+    # the copy once overflowed (a warning, then a misleading exit 1) or
+    # flushed 5e-324 to zero (uc failed its own check, exit 3, or compare
+    # printed a uc residual of 1 and exited 0), depending on the seed
+    path = tmp_path / "beyond.csv"
+    path.write_text("1e308,5e-324\n")
+    for argv in (["compare"], *(["check", "--method", m] for m in ("uc", "mp", "all"))):
+        assert main([*argv, "--input", str(path), "--seed", seed]) == EXIT_INPUT, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(
+            "error: rescaled copy not representable in float64"
+        )
+
+
+def test_svd_nonconvergence_exits_1_with_one_error_line(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    assert main(["compute", "--input", PLANT_CSV]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SVD did not converge\n"
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ucrga.rga as rga_module
-from ucrga import uc_inverse
+from ucrga import pinv, uc_inverse
 from ucrga.matrix import DimensionError, apply_diag, permute
 from ucrga.rga import (
     SingularMatrixError,
@@ -17,7 +17,6 @@ from ucrga.rga import (
     rga_uc,
     scaling_invariance_residual,
 )
-from ucrga.svd import pinv
 
 from golden import (
     COLUMN_FACTORS,
@@ -220,6 +219,8 @@ def test_uc_surfaces_balancer_nonconvergence():
     result = rga_uc(UNCONVERGED_BIDIAGONAL)
     assert not result.balancer_converged
     assert np.all(np.isfinite(result.rga))
+    assert np.all(np.isfinite(result.inverse))
+    assert result.inverse.shape == (50, 50)
 
 
 # ------------------------------------------------------------------ inverses
@@ -359,6 +360,15 @@ def test_scaling_invariance_keeps_the_rescaled_copy_in_range(g, d, e):
     assert residual["uc"] <= 1e-12
     assert residual["strict"] <= 1e-12
     assert np.isfinite(residual["mp"])
+
+
+def test_scaling_invariance_refuses_a_rescaled_copy_beyond_float64():
+    # g alone spans more than float64's normal range, so no power of two fits
+    # the copy; it once overflowed, or flushed 5e-324 and read uc as moved by 1
+    g = [[1e308, 5e-324]]
+    base = rga_routes(g, ("uc", "mp"))
+    with pytest.raises(ValueError, match="float64"):
+        scaling_invariance_residual(g, base, [0.5], [3.0, 0.7])
 
 
 def test_scaling_invariance_is_keyed_like_its_base_and_checks_the_scalings():
