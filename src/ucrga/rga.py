@@ -203,11 +203,10 @@ def uc_consistency_residual(a, d, e) -> float:
     with the Moore-Penrose inverse substituted is violated by order one.
     """
     a = as_matrix(a)
-    d = as_scaling(d, a.shape[0])
-    e = as_scaling(e, a.shape[1])
-    base = uc_inverse(a)
-    mapped = apply_diag(e, uc_inverse(apply_diag(d, a, e)), d)
-    return relative_change(mapped, base)
+    rescaled, shift = _rescaled_copy(a, d, e)
+    # its inverse maps back to 2**-s * uc_inverse(a), which 2**s undoes exactly
+    mapped = np.ldexp(apply_diag(e, uc_inverse(rescaled), d), shift)
+    return relative_change(mapped, uc_inverse(a))
 
 
 def strict_from_uc(result: RgaResult) -> RgaResult:
@@ -258,30 +257,31 @@ def scaling_invariance_residual(g, base: dict[str, RgaResult], d, e) -> dict[str
     strict route on nonsingular input); typically order one for the
     Moore-Penrose route whenever rank deficiency or rescaling matters.
 
-    No route's RGA depends on an overall constant factor, so g is first
-    shifted by the power of two :func:`_range_shift` picks, or ValueError raised.
+    No route's RGA depends on an overall constant factor, so the routes run
+    on the copy :func:`_rescaled_copy` forms.
     """
-    g = np.asarray(g, dtype=float)
-    d, e = as_scaling(d, g.shape[0]), as_scaling(e, g.shape[1])
-    rescaled = apply_diag(d, np.ldexp(g, _range_shift(g, d, e)), e)
-    scaled = rga_routes(rescaled, list(base))
+    scaled = rga_routes(_rescaled_copy(np.asarray(g, dtype=float), d, e)[0], list(base))
     return {method: relative_change(scaled[method].rga, r.rga) for method, r in base.items()}
 
 
-def _range_shift(g: np.ndarray, d: np.ndarray, e: np.ndarray) -> int:
-    """The s for which the nonzeros of 2**s * g, of it scaled by d, and of
-    that scaled by e all lie in float64's normal range, 0 when they already
-    do; ValueError when no s can fit them, as the copy would overflow or lose
-    a subnormal entry."""
-    k_g, k_d, k_e = np.frexp(g)[1], np.frexp(d)[1][:, None], np.frexp(e)[1]
-    steps = np.stack([k_g, k_g + k_d, k_g + k_d + k_e])[:, g != 0.0]
-    # a product of up to three numbers whose binary exponents sum to k lies
-    # in [2**(k-3), 2**k); normal magnitudes are [2**-1022, 2**1024). The
-    # range also takes in 2**0, which fits, so an all-zero g gives s = 0.
-    low, high = int(steps.min(initial=0)) - 3, int(steps.max(initial=0))
-    if high - low > 1023 + 1022:
+def _rescaled_copy(g: np.ndarray, d, e) -> tuple[np.ndarray, int]:
+    """2**s * diag(d) @ g @ diag(e) and the s that puts its nonzeros in
+    float64's normal range (0 if they lie there); ValueError if no s can.
+
+    The mantissas of d, g and e multiply within [1/8, 1), rounding as the full
+    product does where that is normal; its exponent plus theirs is the product's."""
+    d, e = as_scaling(d, g.shape[0]), as_scaling(e, g.shape[1])
+    (d_mant, d_exp), (g_mant, g_exp), (e_mant, e_exp) = np.frexp(d), np.frexp(g), np.frexp(e)
+    mant, exp = np.frexp(d_mant[:, None] * g_mant * e_mant)
+    exp += d_exp[:, None] + g_exp + e_exp
+    # normal magnitudes, [2**-1022, 2**1024), have frexp exponents -1021 to 1024
+    nonzero = exp[mant != 0.0]
+    low, high = (int(nonzero.min()), int(nonzero.max())) if nonzero.size else (0, 0)
+    if high - low > 1024 + 1021:
         raise ValueError("rescaled copy not representable in float64: it spans more than its range")
-    return 0 if -1022 <= low and high <= 1023 else (1 - low - high) // 2
+    # centre [2**(low-1), 2**high) on 1, raised at spans over 2,043 to keep low normal
+    shift = 0 if -1021 <= low and high <= 1024 else max((1 - low - high) // 2, -1021 - low)
+    return np.ldexp(mant, exp + shift), shift
 
 
 def rga_summary(result: RgaResult) -> PropertyReport:

@@ -86,6 +86,20 @@ def test_consistency_residual_scaled_ones():
     assert uc_consistency_residual(ONES3, d, d) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "a, d, e",
+    [
+        ([[1e308, 1.0], [1.0, 1.0]], [10.0, 1.0], [1.0, 1.0]),
+        ([[5e-324, 1.0], [1.0, 1.0]], [0.1, 1.0], [1.0, 1.0]),
+    ],
+    ids=["overflowing-entry", "subnormal-entry"],
+)
+def test_consistency_residual_keeps_the_rescaled_copy_in_range(a, d, e):
+    # diag(d) @ a @ diag(e) once overflowed to inf (a ValueError on finite
+    # input), or flushed 5e-324 * 0.1 to zero and read the identity as broken
+    assert uc_consistency_residual(a, d, e) <= 1e-12
+
+
 def test_moore_penrose_fails_the_same_consistency_check():
     # the analogous construction with pinv moves by order one: the rescaled
     # ones matrix is SCALED_ONES3, whose pinv is its transpose over 36

@@ -1,9 +1,13 @@
 """Tests for the three RGA routes and their structural properties."""
 
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ucrga.rga as rga_module
 from ucrga import pinv, uc_inverse
@@ -350,12 +354,14 @@ def test_routes_reject_a_bare_string():
     [
         ([[1e308, 1.0], [1.0, 1.0]], [1e3, 1e-3], [1e-3, 1e3]),
         ([[5e-324, 0.0], [0.0, 1.0]], [1e-3, 1e3], [1e-3, 1e3]),
+        ([[1.5 * 2.0**1023, 2.0**-1022], [2.0**-1022, 1.0]], [1.0, 1.0], [1.0, 1.0]),
     ],
-    ids=["overflowing-row", "subnormal-entry"],
+    ids=["overflowing-row", "subnormal-entry", "normal-range-2x2"],
 )
 def test_scaling_invariance_keeps_the_rescaled_copy_in_range(g, d, e):
     # the rescaled copy once overflowed (here already diag(d) @ g), or
-    # flushed the subnormal entry to zero, moving uc by 1
+    # flushed the subnormal entry to zero, moving uc by 1; the last copy is
+    # g itself, once refused by a range bound three binary orders too wide
     residual = scaling_invariance_residual(g, rga_routes(g, ("uc", "strict", "mp")), d, e)
     assert residual["uc"] <= 1e-12
     assert residual["strict"] <= 1e-12
@@ -382,6 +388,67 @@ def test_scaling_invariance_is_keyed_like_its_base_and_checks_the_scalings():
         scaling_invariance_residual(STACKED_PLANT, base, np.ones(6), e)
     with pytest.raises(ValueError, match="nonzero"):
         scaling_invariance_residual(STACKED_PLANT, base, d, np.zeros(6))
+
+
+@st.composite
+def rescaling_cases(draw):
+    """(g, d, e) with random signs: g up to 4x4 with some zeros and log2
+    magnitudes in [-1074, 1023], d and e nonzero. Each draws its magnitudes
+    from a window of 8 to 2,097 binary orders, so that copies which fit as
+    they are, fit only shifted, and do not fit all come up."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def entries(size, zeros):
+        width = draw(st.sampled_from([8, 300, 1100, 2097]))
+        low = draw(st.integers(-1073, 1024 - width))
+        nonzero = st.builds(
+            lambda sign, mant, exp: sign * math.ldexp(mant, exp),
+            st.sampled_from([-1.0, 1.0]),
+            st.floats(0.5, 1.0, exclude_max=True),
+            st.integers(low, low + width),
+        )
+        values = st.one_of(st.just(0.0), nonzero) if zeros else nonzero
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)))
+
+    return entries(m * n, True).reshape(m, n), entries(m, False), entries(n, False)
+
+
+def all_normal(x, g):
+    """Whether every entry of x where g is nonzero is a normal float64."""
+    return bool(np.all((g == 0) | (np.isfinite(x) & (np.abs(x) >= np.finfo(float).tiny))))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(rescaling_cases())
+# spans 2,045 frexp exponents and fits only at s = 1: centring on 1 alone
+# would round (0.75 + 2**-53) * 2**-1022 to a subnormal, a bit short
+@example((np.array([[2.0**1023, (1.5 + 2.0**-52) * 2.0**-1022]]), np.array([0.5]), np.ones(2)))
+def test_rescaled_copy_is_exact_in_the_normal_range_or_refused(case):
+    g, d, e = case
+    exact = np.array([[Fraction(x) for x in row] for row in g], dtype=object)
+    exact *= np.array([Fraction(x) for x in d], dtype=object)[:, None]
+    exact *= np.array([Fraction(x) for x in e], dtype=object)[None, :]
+    try:
+        copy, shift = rga_module._rescaled_copy(g, d, e)
+    except ValueError as exc:
+        assert "not representable in float64" in str(exc)
+        # over 2,045 binary orders, less what the two roundings can take
+        magnitudes = [abs(p) for p in exact.ravel() if p]
+        assert max(magnitudes) / min(magnitudes) > Fraction(2) ** 2045 * (1 - Fraction(1, 2**50))
+        return
+    assert all_normal(copy, g)
+    scale = Fraction(2) ** shift
+    for c, x, p in zip(copy.ravel(), g.ravel(), exact.ravel()):
+        if x == 0:
+            assert c == 0
+            continue
+        assert (c > 0) == (p > 0)
+        assert abs(Fraction(c) / scale - p) <= 2 * Fraction(math.ulp(c)) / scale
+    with np.errstate(over="ignore", under="ignore"):
+        partial, full = d[:, None] * g, apply_diag(d, g, e)
+    if all_normal(partial, g) and all_normal(full, g):
+        assert shift == 0
+        assert copy.tobytes() == full.tobytes()
 
 
 # ------------------------------------------------------------------- summary
