@@ -41,7 +41,6 @@ from .rga import (
     uc_consistency_residual,
     uc_inverse,
 )
-from .svd import RankInfo
 
 __version__ = "1.0.0"
 
@@ -52,7 +51,6 @@ __all__ = [
     "GiResiduals",
     "MatrixFormatError",
     "PropertyReport",
-    "RankInfo",
     "RgaResult",
     "ScalingDecomposition",
     "SingularMatrixError",

@@ -247,7 +247,6 @@ def _cmd_compare(args) -> int:
 
 
 def _property_checks(
-    g: np.ndarray,
     result: RgaResult,
     permuted: RgaResult,
     scaled_change: float,
@@ -256,13 +255,12 @@ def _property_checks(
     """The summary checks, equivariance under the permutation ``orders``
     (``permuted`` being the route's result on the permuted copy of g),
     invariance under rescaling (``scaled_change`` being the change it made),
-    and the generalized-inverse identities of x = X / 2**exponent and pinv(x),
-    X being g for mp and the balanced core (free of units) for uc and strict:
-    the identities are homogeneous, and pinv(x), unlike pinv(g), cannot overflow."""
+    and the generalized-inverse identities of the pair ``result.x`` and
+    ``result.x_pinv`` the RGA was formed from: the identities are homogeneous,
+    and pinv(x), unlike pinv(g), cannot overflow."""
     checks = list(rga_summary(result).checks)
     permuted_change = relative_change(permuted.rga, permute(result.rga, *orders))
-    x = g if result.decomposition is None else result.decomposition.core
-    residuals = check_gi_identities(np.ldexp(x, -result.exponent), result.x_pinv)
+    residuals = check_gi_identities(result.x, result.x_pinv)
     return checks + [
         Check(name, value, threshold, value <= threshold, False)
         for name, value, threshold in (
@@ -286,7 +284,7 @@ def _cmd_check(args) -> int:
     d, e = _log_uniform(rng, m), _log_uniform(rng, n)
     scaled = scaling_invariance_residual(g, base, d, e)
     pairs = [
-        (result, _property_checks(g, result, permuted[method], scaled[method], orders))
+        (result, _property_checks(result, permuted[method], scaled[method], orders))
         for method, result in base.items()
     ]
 

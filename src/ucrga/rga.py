@@ -15,9 +15,9 @@ other loops open versus closed. Three routes are provided:
 Each computes x * pinv(x).T in one place: x is the matrix for MP and its
 balanced core for UC and strict. With g = inv(D) @ core @ inv(E) the
 unit-consistent inverse is E @ pinv(core) @ D, so in the RGA the scale factors
-cancel exactly. Each result keeps pinv(x) and the scaling, so the generalized
-inverse the RGA was formed from is at hand as ``result.inverse`` without a
-second factorization; :func:`pinv` and :func:`uc_inverse` read it off
+cancel exactly. Each result keeps x, pinv(x) and the scaling, so the
+generalized inverse the RGA was formed from is at hand as ``result.inverse``
+without a second factorization; :func:`pinv` and :func:`uc_inverse` read it off
 :func:`rga_mp` and :func:`rga_uc`, and :func:`uc_consistency_residual` checks the latter.
 
 The strict RGA is the UC result relabelled (:func:`strict_from_uc`), so
@@ -35,9 +35,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .balance import ScalingDecomposition, balance
+from .balance import LN2, LOG_MAX, ScalingDecomposition, balance
 from .inverse import relative_change
-from .matrix import DimensionError, apply_diag, as_matrix, as_scaling
+from .matrix import DimensionError, as_matrix, as_scaling
 from .svd import scaled_pinv
 
 __all__ = [
@@ -71,9 +71,10 @@ class RgaResult:
     ``numerical_rank`` is the rank actually used to form the inverse: the
     rank of the input under the cutoff for the Moore-Penrose route, and the
     rank of the balanced core for the unit-consistent and strict routes (for
-    strict always the full dimension). ``x_pinv`` is pinv(x) for the x =
-    X / 2**exponent the RGA was formed from, and ``decomposition`` the
-    balancing that gave X (None for the Moore-Penrose route, whose X is g).
+    strict always the full dimension). ``x`` = X / 2**exponent is the matrix
+    the RGA was formed from and ``x_pinv`` its pseudoinverse, X being g for
+    the Moore-Penrose route and the balanced core otherwise; ``decomposition``
+    is the balancing that gave X (None for the Moore-Penrose route).
     """
 
     rga: np.ndarray
@@ -82,6 +83,7 @@ class RgaResult:
     row_sums: np.ndarray
     col_sums: np.ndarray
     element_sum: float
+    x: np.ndarray
     x_pinv: np.ndarray
     exponent: int
     decomposition: ScalingDecomposition | None
@@ -98,7 +100,12 @@ class RgaResult:
         x_pinv = np.ldexp(self.x_pinv, -self.exponent)
         if (dec := self.decomposition) is None:
             return x_pinv
-        return x_pinv * np.exp(dec.right_log[:, None] + dec.left_log[None, :])
+        logs = dec.right_log[:, None] + dec.left_log[None, :]
+        # where exp(logs) would leave float64's normal range, 2**p, p a
+        # multiple of 1000, is taken out of it and put back exactly by ldexp
+        inside = (logs > np.log(np.finfo(float).tiny)) & (logs < LOG_MAX)
+        p = np.where(inside, 0, 1000 * np.round(logs / (1000 * LN2)).astype(int))
+        return np.ldexp(x_pinv * np.exp(logs - p * LN2), p)
 
 
 @dataclass(frozen=True)
@@ -124,15 +131,16 @@ class PropertyReport:
 
 def _route(x: np.ndarray, method: str, decomposition: ScalingDecomposition | None) -> RgaResult:
     """x * pinv(x).T, the RGA every route computes, from :func:`scaled_pinv`."""
-    x, x_pinv, exponent, info = scaled_pinv(x)
+    x, x_pinv, exponent, rank = scaled_pinv(x)
     rga = x * x_pinv.T
     return RgaResult(
         rga=rga,
         method=method,
-        numerical_rank=info.numerical_rank,
+        numerical_rank=rank,
         row_sums=rga.sum(axis=1),
         col_sums=rga.sum(axis=0),
         element_sum=float(rga.sum()),
+        x=x,
         x_pinv=x_pinv,
         exponent=exponent,
         decomposition=decomposition,
@@ -204,9 +212,9 @@ def uc_consistency_residual(a, d, e) -> float:
     """
     a = as_matrix(a)
     rescaled, shift = _rescaled_copy(a, d, e)
-    # its inverse maps back to 2**-s * uc_inverse(a), which 2**s undoes exactly
-    mapped = np.ldexp(apply_diag(e, uc_inverse(rescaled), d), shift)
-    return relative_change(mapped, uc_inverse(a))
+    # its inverse maps back to 2**(back - shift) * uc_inverse(a), undone exactly
+    mapped, back = _rescaled_copy(uc_inverse(rescaled), e, d)
+    return relative_change(np.ldexp(mapped, shift - back), uc_inverse(a))
 
 
 def strict_from_uc(result: RgaResult) -> RgaResult:

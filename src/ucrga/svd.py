@@ -10,32 +10,17 @@ overall scale of a, and the relative cutoff is a constant, not a parameter.
 generalized inverse of the input.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "RANK_TOL",
-    "RankInfo",
     "scaled_pinv",
 ]
 
 RANK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RankInfo:
-    """Numerical rank decision: how many singular values cleared the cutoff.
-
-    ``rank_tolerance`` (the cutoff) and ``largest_sv`` are those of the
-    matrix :func:`scaled_pinv` factored, x = a / 2**k, not of a itself."""
-
-    numerical_rank: int
-    rank_tolerance: float
-    largest_sv: float
-
-
-def scaled_pinv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, RankInfo]:
+def scaled_pinv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     """(x, pinv(x), k, rank used) for a matrix ``a`` as :func:`as_matrix`
     returns it and x = a / 2**k, k the binary exponent of max|a|: the exact
     scaling puts max|x| in [0.5, 1), so x factors and inverts at any magnitude,
@@ -53,10 +38,7 @@ def scaled_pinv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, RankInfo]:
     u, sigma, vt = np.linalg.svd(x.T if wide else x, full_matrices=False)
     # x = u @ diag(sigma) @ v.T; for a wide x, x.T = u @ diag(sigma) @ vt
     u, v = (vt.T, u) if wide else (u, vt.T)
-    largest = float(sigma[0])
-    cutoff = RANK_TOL * largest * max(m, n)
-    keep = sigma > cutoff
+    keep = sigma > RANK_TOL * sigma[0] * max(m, n)
     inverted = np.zeros(sigma.size)
     inverted[keep] = 1.0 / sigma[keep]
-    info = RankInfo(int(np.count_nonzero(keep)), cutoff, largest)
-    return x, (v * inverted) @ u.T, k, info
+    return x, (v * inverted) @ u.T, k, int(np.count_nonzero(keep))

@@ -91,13 +91,26 @@ def test_consistency_residual_scaled_ones():
     [
         ([[1e308, 1.0], [1.0, 1.0]], [10.0, 1.0], [1.0, 1.0]),
         ([[5e-324, 1.0], [1.0, 1.0]], [0.1, 1.0], [1.0, 1.0]),
+        ([[1.0]], [2.0**-1000], [2.0**-1000]),
+        (PLANT, [1e-300] * 3, [1e-300] * 3),
     ],
-    ids=["overflowing-entry", "subnormal-entry"],
+    ids=["overflowing-entry", "subnormal-entry", "tiny-1x1", "tiny-scalings"],
 )
 def test_consistency_residual_keeps_the_rescaled_copy_in_range(a, d, e):
     # diag(d) @ a @ diag(e) once overflowed to inf (a ValueError on finite
-    # input), or flushed 5e-324 * 0.1 to zero and read the identity as broken
+    # input), or flushed 5e-324 * 0.1 to zero and read the identity as
+    # broken; mapping the inverse back by diag(e) and diag(d) once flushed
+    # it to zero under tiny scalings, a residual of 1
     assert uc_consistency_residual(a, d, e) <= 1e-12
+
+
+def test_inverse_with_a_scale_beyond_float64_stays_finite():
+    # the balancing scales entry (0, 0) by about e**714, past float64's range;
+    # it is SVD noise around an exact 0, so only the other entries are held
+    inverse = uc_inverse([[1e-310, 1.0], [1.0, 0.0]])
+    assert np.isfinite(inverse).all()
+    for i, j, expected in ((0, 1, 1.0), (1, 0, 1.0), (1, 1, -1e-310)):
+        assert abs(inverse[i, j] - expected) <= 1e-12 * abs(expected)
 
 
 def test_moore_penrose_fails_the_same_consistency_check():

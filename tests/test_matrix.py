@@ -48,6 +48,9 @@ def test_as_matrix_rejects_wrong_dimensionality():
 def test_as_scaling_rejects_zero_and_checks_length():
     with pytest.raises(ValueError, match="nonzero"):
         as_scaling([1.0, 0.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            as_scaling([1.0, bad])
     with pytest.raises(DimensionError):
         as_scaling([1.0, 2.0], size=3)
     np.testing.assert_array_equal(as_scaling([2, -3], size=2), [2.0, -3.0])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ucrga.rga as rga_module
@@ -22,6 +22,7 @@ from ucrga.rga import (
     scaling_invariance_residual,
 )
 
+from exact import exact_rga
 from golden import (
     COLUMN_FACTORS,
     EXACT_RGA_PLANT,
@@ -227,7 +228,47 @@ def test_uc_surfaces_balancer_nonconvergence():
     assert result.inverse.shape == (50, 50)
 
 
+# --------------------------------------------------------------- exact oracle
+
+@st.composite
+def nonsingular_plants(draw):
+    """Gaussian square plants up to 6x6, about one entry in eight zero, each
+    entry scaled by 10**u, u uniform within a per-plant spread of up to 4."""
+    n, spread = draw(st.integers(1, 6)), draw(st.floats(0.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-spread, spread, (n, n))
+    g[rng.random((n, n)) < 0.125] = 0.0
+    return g.tolist()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(nonsingular_plants())
+def test_routes_match_the_exact_classical_rga(g):
+    # the float64 oracles all go through LAPACK; this one is exact, so an
+    # error every factorization shares cannot hide from it
+    exact = exact_rga(g)
+    assume(exact is not None)
+    largest = max(abs(x) for row in exact for x in row)
+    # the benchmark's plants keep to the same limit
+    assume(largest <= 100)
+    expected = np.array([[float(x) for x in row] for row in exact])
+    tolerance = 1e-9 * max(1.0, float(largest))
+    for route in (rga_strict, rga_uc, rga_mp):
+        assert np.abs(route(g).rga - expected).max() <= tolerance, route.__name__
+
+
 # ------------------------------------------------------------------ inverses
+
+def test_each_result_keeps_the_pair_it_factored():
+    # x = X / 2**exponent, X being g for mp and the balanced core for uc,
+    # and the RGA is x * x_pinv.T bit for bit
+    for g, _ in SUITE[:40]:
+        mp, uc = rga_mp(g), rga_uc(g)
+        assert np.array_equal(mp.x, np.ldexp(g, -mp.exponent))
+        assert np.array_equal(uc.x, np.ldexp(uc.decomposition.core, -uc.exponent))
+        for result in (mp, uc):
+            assert np.array_equal(result.rga, result.x * result.x_pinv.T)
+
 
 def test_each_result_carries_the_inverse_it_was_formed_from():
     for g, _ in SUITE[:40]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ucrga import pinv
-from ucrga.svd import RankInfo, scaled_pinv
+from ucrga.svd import RANK_TOL, scaled_pinv
 
 from golden import PLANT, STACKED_PLANT, COLUMN_FACTORS, RESCALED_PLANT
 from suites import rank_controlled_suite
@@ -35,20 +35,24 @@ def det3_by_cofactors(a):
 
 
 def rank(a):
-    return scaled_pinv(np.asarray(a, dtype=float))[3].numerical_rank
+    return scaled_pinv(np.asarray(a, dtype=float))[3]
 
 
 def test_svd_diagonal_input():
     # diag(3, 2) is factored as diag(0.75, 0.5): the exponent of 3 is 2
-    info = scaled_pinv(np.diag([3.0, 2.0]))[3]
-    assert (info.numerical_rank, info.largest_sv) == (2, 0.75)
+    x, x_pinv, k, r = scaled_pinv(np.diag([3.0, 2.0]))
+    assert (k, r) == (2, 2)
+    assert np.array_equal(x, np.diag([0.75, 0.5]))
+    np.testing.assert_allclose(x_pinv, np.diag([4.0 / 3.0, 2.0]), rtol=1e-15)
 
 
 def test_svd_ones_is_rank_one_norm_three():
-    # ones(3, 3) / 2 has the single nonzero singular value 3 / 2
-    info = scaled_pinv(np.ones((3, 3)))[3]
-    assert info.numerical_rank == 1
-    assert abs(info.largest_sv - 1.5) <= 1e-15
+    # ones(3, 3) / 2 has the single nonzero singular value 3 / 2, so its
+    # pseudoinverse is its transpose over 9 / 4
+    x, x_pinv, _, r = scaled_pinv(np.ones((3, 3)))
+    assert r == 1
+    assert np.array_equal(x, np.full((3, 3), 0.5))
+    np.testing.assert_allclose(x_pinv, np.full((3, 3), 0.5 / 2.25), rtol=1e-14)
 
 
 def test_plant_has_full_rank():
@@ -65,9 +69,9 @@ def test_numerical_rank_ones():
 
 
 def test_numerical_rank_zero_matrix():
-    info = scaled_pinv(np.zeros((3, 4)))[3]
-    assert info.numerical_rank == 0
-    assert info.largest_sv == 0.0
+    _, x_pinv, _, r = scaled_pinv(np.zeros((3, 4)))
+    assert r == 0
+    assert np.array_equal(x_pinv, np.zeros((4, 3)))
 
 
 def test_numerical_rank_stacked_plant():
@@ -100,12 +104,14 @@ def test_pinv_singular_diagonal():
 
 
 def test_factor_invariants_on_suite():
-    # the rank decision reads the singular values of x = g / 2**k
-    for g in [g for g, _ in SVD_SUITE[:80]] + LONG_SHAPES:
-        x, _, _, info = scaled_pinv(g)
+    # the rank counts the singular values of x = g / 2**k above the cutoff
+    # RANK_TOL * sigma[0] * max(m, n), whichever way x is factored
+    for g, expected in SVD_SUITE[:80] + [(g, min(g.shape)) for g in LONG_SHAPES]:
+        x, _, k, r = scaled_pinv(g)
+        assert np.array_equal(x, np.ldexp(g, -k))
         sigma = np.linalg.svd(x, compute_uv=False)
-        assert abs(info.largest_sv - sigma[0]) <= 1e-13 * sigma[0]
-        assert info.rank_tolerance == 1e-12 * info.largest_sv * max(g.shape)
+        assert type(r) is int
+        assert r == np.count_nonzero(sigma > RANK_TOL * sigma[0] * max(g.shape)) == expected
 
 
 def test_penrose_conditions_on_suite():
@@ -146,13 +152,13 @@ def test_svd_is_deterministic():
     first, second = scaled_pinv(PLANT), scaled_pinv(PLANT)
     for a, b in zip(first[:3], second[:3]):
         assert np.array_equal(a, b)
-    assert first[3] == second[3]
+    assert first[3] == second[3] == 3
 
 
 def test_scaled_pinv_reports_rank_used():
-    _, x_pinv, k, info = scaled_pinv(STACKED_PLANT)
-    assert isinstance(info, RankInfo)
-    assert info.numerical_rank == 3
+    _, x_pinv, k, r = scaled_pinv(STACKED_PLANT)
+    assert type(r) is int
+    assert r == 3
     assert x_pinv.shape == (6, 3)
     assert np.array_equal(np.ldexp(x_pinv, -k), pinv(STACKED_PLANT))
 
@@ -162,11 +168,11 @@ def test_pinv_commutes_exactly_with_powers_of_two(shift):
     # pinv factors a / 2**k, k the binary exponent of max|a|, so 2**shift * a
     # is factored as the very same matrix
     for g in (PLANT, STACKED_PLANT, np.ones((2, 3))):
-        x, x_pinv, k, info = scaled_pinv(np.ldexp(g, shift))
-        base_x, base_pinv, base_k, base_info = scaled_pinv(g)
+        x, x_pinv, k, r = scaled_pinv(np.ldexp(g, shift))
+        base_x, base_pinv, base_k, base_r = scaled_pinv(g)
         assert 0.5 <= np.abs(x).max() < 1.0
         assert np.array_equal(x, base_x) and np.array_equal(x_pinv, base_pinv)
-        assert (k, info) == (base_k + shift, base_info)
+        assert (k, r) == (base_k + shift, base_r)
         with np.errstate(over="ignore"):
             scaled, expected = pinv(np.ldexp(g, shift)), np.ldexp(pinv(g), -shift)
             read_off = np.ldexp(x_pinv, -k)
