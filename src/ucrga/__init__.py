@@ -15,7 +15,6 @@ from .inverse import GiResiduals, check_gi_identities
 from .matrix import (
     DimensionError,
     MatrixFormatError,
-    apply_diag,
     as_matrix,
     as_permutation,
     as_scaling,
@@ -54,7 +53,6 @@ __all__ = [
     "RgaResult",
     "ScalingDecomposition",
     "SingularMatrixError",
-    "apply_diag",
     "as_matrix",
     "as_permutation",
     "as_scaling",

@@ -19,6 +19,7 @@ from .inverse import check_gi_identities, relative_change
 from .matrix import (
     DimensionError,
     MatrixFormatError,
+    _excerpt,
     format_csv,
     matrix_from_json,
     matrix_to_json,
@@ -66,13 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # compare always runs mp and uc, and compute draws nothing
     for name, help_text, handler in specs:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=True, help="path to the matrix file")
-        p.add_argument(
-            "--format",
-            choices=["csv", "json"],
-            default=None,
-            help="input format (default: inferred from the file extension)",
-        )
+        p.add_argument("--input", required=True, help="path to the matrix file, JSON or CSV")
         if name != "compare":
             p.add_argument(
                 "--method",
@@ -105,28 +100,24 @@ def _digits(text: str) -> int:
     return digits
 
 
-def _excerpt(text: str) -> str:
-    """``text`` quoted for an error line, cut after 20 characters."""
-    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
-
-
-def _load_matrix(path: str, fmt: str | None) -> np.ndarray:
-    if fmt is None:
-        fmt = "json" if path.lower().endswith(".json") else "csv"
+def _load_matrix(path: str) -> np.ndarray:
+    """The matrix in the file at ``path``: JSON if its first non-whitespace
+    character is ``{`` or ``[``, which no CSV field can begin with, else CSV."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixFormatError(f"cannot read {path}: {exc}") from exc
-    if fmt == "json":
+    try:
+        if not text.lstrip().startswith(("{", "[")):
+            return parse_csv(text)
         try:
             obj = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
             # json.loads recurses once per nesting level
-            raise MatrixFormatError(f"{path}: invalid JSON: {exc}") from exc
+            raise MatrixFormatError(f"invalid JSON: {exc}") from None
         return matrix_from_json(obj)
-    try:
-        return parse_csv(text)
-    except MatrixFormatError as exc:
+    except ValueError as exc:
+        # a MatrixFormatError, or as_matrix refusing a non-finite JSON entry
         raise MatrixFormatError(f"{path}: {exc}") from None
 
 
@@ -211,14 +202,14 @@ def _results(g: np.ndarray, args) -> list[RgaResult]:
 
 
 def _cmd_compute(args) -> int:
-    g = _load_matrix(args.input, args.format)
+    g = _load_matrix(args.input)
     pairs = [(result, list(rga_summary(result).checks)) for result in _results(g, args)]
     _emit_reports(pairs, args)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    g = _load_matrix(args.input, args.format)
+    g = _load_matrix(args.input)
     m, n = g.shape
     results = rga_routes(g, ("mp", "uc"))
     difference = float(np.abs(results["mp"].rga - results["uc"].rga).max())
@@ -273,7 +264,7 @@ def _property_checks(
 
 
 def _cmd_check(args) -> int:
-    g = _load_matrix(args.input, args.format)
+    g = _load_matrix(args.input)
     m, n = g.shape
     base = {r.method: r for r in _results(g, args)}
     # one draw per check, shared by every route, so a route's verdict does

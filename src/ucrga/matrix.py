@@ -1,5 +1,5 @@
-"""Dense real matrix plumbing: validation, CSV/JSON interchange, diagonal
-scaling and permutation.
+"""Dense real matrix plumbing: validation, CSV/JSON interchange and
+permutation.
 
 Matrices are plain 2-D C-ordered float64 numpy arrays. Diagonal scalings are
 1-D arrays of nonzero factors; permutations are 1-D arrays holding a bijection
@@ -21,7 +21,6 @@ __all__ = [
     "format_csv",
     "matrix_to_json",
     "matrix_from_json",
-    "apply_diag",
     "permute",
 ]
 
@@ -108,15 +107,20 @@ def parse_csv(text: str) -> np.ndarray:
                 value = None
             if value is not None and not math.isfinite(value):
                 raise MatrixFormatError(
-                    f"row {lineno}, column {colno}: non-finite value {stripped!r}"
+                    f"row {lineno}, column {colno}: non-finite value {_excerpt(stripped)}"
                 )
             if value is None or not CSV_NUMBER.fullmatch(stripped):
                 raise MatrixFormatError(
-                    f"row {lineno}, column {colno}: cannot parse {stripped!r} as a number"
+                    f"row {lineno}, column {colno}: cannot parse {_excerpt(stripped)} as a number"
                 )
             row.append(value)
         rows.append(row)
     return as_matrix(rows)
+
+
+def _excerpt(text: str) -> str:
+    """``text`` quoted for an error line, cut after 20 characters."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
 def format_csv(a) -> str:
@@ -158,14 +162,6 @@ def _is_json_number(value, kinds) -> bool:
     """True for a JSON number of the given Python types; JSON true and false
     load as bool, a subclass of int, and are not numbers."""
     return isinstance(value, kinds) and not isinstance(value, bool)
-
-
-def apply_diag(left, a, right) -> np.ndarray:
-    """Scale row i by left[i] and column j by right[j]: diag(left) @ a @ diag(right)."""
-    a = np.asarray(a, dtype=float)
-    left = as_scaling(left, a.shape[0])
-    right = as_scaling(right, a.shape[1])
-    return left[:, None] * a * right[None, :]
 
 
 def permute(a, row_order, col_order) -> np.ndarray:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from ucrga import cli
 from ucrga.cli import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_SINGULAR, main
-from ucrga.matrix import apply_diag, format_csv, matrix_from_json, parse_csv
+from ucrga.matrix import format_csv, matrix_from_json, parse_csv
 from ucrga.rga import rga_mp, rga_strict, rga_uc
 
 from golden import EXACT_RGA_PLANT, MP_RGA_SCALED_ONES3, ONES3, PLANT, UNCONVERGED_BIDIAGONAL
@@ -107,15 +107,23 @@ def test_compute_infers_json_format(capsys):
     assert np.abs(matrix_from_json(report["rga"]) - EXACT_RGA_PLANT).max() <= 1e-9
 
 
-def test_compute_format_flag_overrides_extension(tmp_path, capsys):
-    path = tmp_path / "matrix.txt"
-    path.write_text('{"rows": 1, "cols": 2, "data": [1.0, 2.0]}')
-    code, report = run_json(
-        capsys,
-        ["compute", "--input", str(path), "--format", "json", "--output", "json"],
-    )
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("matrix.txt", '{"rows": 1, "cols": 2, "data": [1.0, 2.0]}'),
+        ("matrix.csv", ' \n\t{"rows": 1, "cols": 2, "data": [1.0, 2.0]}'),
+        ("matrix.json", "1,2\n"),
+    ],
+    ids=["json-in-txt", "json-after-whitespace", "csv-in-json"],
+)
+def test_the_first_character_gives_the_input_format(tmp_path, capsys, name, text):
+    # the file name plays no part
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, report = run_json(capsys, ["compute", "--input", str(path), "--output", "json"])
     assert code == EXIT_OK
     assert report["shape"] == [1, 2]
+    assert np.abs(matrix_from_json(report["rga"]) - 0.5).max() <= 1e-15
 
 
 def test_compute_all_skips_strict_on_singular(capsys):
@@ -173,7 +181,43 @@ def test_deeply_nested_json_exits_1_with_no_output(capsys):
         assert main(["compute", "--input", str(path)]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {path}: invalid JSON:")
+
+
+@pytest.mark.parametrize(
+    "text, quoted",
+    [
+        ("1," + "x" * 5000, "'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+        ("9" * 400 + ",1", "'99999999999999999999'... (400 characters)"),
+    ],
+    ids=["unparsable", "non-finite"],
+)
+def test_a_long_csv_field_gives_one_short_error_line(tmp_path, capsys, text, quoted):
+    path = tmp_path / "long.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["compute", "--input", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {path}: row 1, column ")
+    assert quoted in line
+    assert len(line) < 200
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"[1, 2]", b'{"rows": 1, "cols": 2}', b'{"rows": 1, "cols": 1, "data": [NaN]}', b"\xff1,2\n"],
+    ids=["json-not-an-object", "json-missing-data", "json-non-finite", "not-utf-8"],
+)
+def test_every_input_error_names_the_file(tmp_path, capsys, data):
+    path = tmp_path / "matrix.json"
+    path.write_bytes(data)
+    assert main(["compute", "--input", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and f" {path}: " in line
 
 
 @pytest.mark.parametrize(
@@ -199,6 +243,12 @@ def test_deeply_nested_json_exits_1_with_no_output(capsys):
         ["check", "--input", PLANT_CSV, "--seed", "9" * 5000],
         ["compute", "--input", PLANT_CSV, "--digits", "9" * 5000],
         ["check", "--input", PLANT_CSV, "--seed", "x" * 5000],
+        # the input's first character gives its format
+        *(
+            [command, "--input", PLANT_JSON, "--format", fmt]
+            for command in ("compute", "compare", "check")
+            for fmt in ("json", "csv")
+        ),
     ],
     ids=[
         "missing-input",
@@ -214,6 +264,11 @@ def test_deeply_nested_json_exits_1_with_no_output(capsys):
         "seed-beyond-int-digits",
         "digits-beyond-int-digits",
         "long-non-digit-seed",
+        *(
+            f"{command}-removed-format-{fmt}"
+            for command in ("compute", "compare", "check")
+            for fmt in ("json", "csv")
+        ),
     ],
 )
 def test_usage_errors_exit_1_before_any_output(capsys, argv):
@@ -230,6 +285,24 @@ def test_usage_errors_exit_1_before_any_output(capsys, argv):
 def test_help_exits_0(capsys):
     assert main(["check", "--help"]) == EXIT_OK
     assert "--input" in capsys.readouterr().out
+
+
+def test_readme_synopsis_lists_each_subcommands_flags(capsys):
+    # a flag removed from the parser cannot linger in the docs, nor a new
+    # one go unlisted
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("## Command line", 1)[1].split("```")[1]
+    documented = {
+        line.split()[1]: re.findall(r"--[a-z][a-z-]*", line)
+        for line in synopsis.splitlines()
+        if line.startswith("ucrga ")
+    }
+    parsed = {}
+    for command in ("compute", "compare", "check"):
+        assert main([command, "--help"]) == EXIT_OK
+        usage = capsys.readouterr().out.split("\n\n", 1)[0]
+        parsed[command] = re.findall(r"--[a-z][a-z-]*", usage)
+    assert documented == parsed
 
 
 def test_strict_on_singular_exits_2(capsys):
@@ -520,7 +593,7 @@ def test_uc_and_strict_check_verdicts_on_sparse_plants_do_not_depend_on_units(
     e = 10.0 ** rng.uniform(-decades, decades, g.shape[1])
     for method in ("uc", "strict"):
         verdicts = []
-        for label, matrix in (("plant", g), ("rescaled", apply_diag(d, g, e))):
+        for label, matrix in (("plant", g), ("rescaled", d[:, None] * g * e[None, :])):
             path = tmp_path / f"{label}.csv"
             path.write_text(format_csv(matrix), encoding="utf-8")
             code = main(["check", "--input", str(path), "--method", method, "--output", "json"])
@@ -662,6 +735,7 @@ FLAGS = st.sampled_from(
         ("--rank-tol", "1e-300"),
         ("--max-iter", "1"),
         ("--balance-tol", "1e-300"),
+        ("--format", "json"),
     ]
 )
 

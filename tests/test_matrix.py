@@ -1,4 +1,4 @@
-"""Tests for matrix validation, CSV/JSON interchange, diagonal scaling and permutation."""
+"""Tests for matrix validation, CSV/JSON interchange and permutation."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from ucrga.matrix import (
     DimensionError,
     MatrixFormatError,
-    apply_diag,
     as_matrix,
     as_permutation,
     as_scaling,
@@ -20,7 +19,7 @@ from ucrga.matrix import (
     permute,
 )
 
-from golden import PLANT, SCALED_ONES3
+from golden import PLANT
 
 
 # ---------------------------------------------------------------- validation
@@ -116,6 +115,23 @@ def test_parse_csv_overflow_is_non_finite():
         parse_csv("1e400,1")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,x", "row 1, column 2: cannot parse 'x' as a number"),
+        ("1e400,1", "row 1, column 1: non-finite value '1e400'"),
+        ("x" * 20, f"row 1, column 1: cannot parse {'x' * 20!r} as a number"),
+        ("x" * 21, f"row 1, column 1: cannot parse {'x' * 20!r}... (21 characters) as a number"),
+        ("9" * 400, f"row 1, column 1: non-finite value {'9' * 20!r}... (400 characters)"),
+    ],
+    ids=["unparsable", "non-finite", "20-characters", "21-characters", "400-digits"],
+)
+def test_parse_csv_quotes_at_most_20_characters_of_a_field(text, message):
+    with pytest.raises(MatrixFormatError) as info:
+        parse_csv(text)
+    assert str(info.value) == message
+
+
 def test_format_csv_round_trips_exactly():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-8, 8, (4, 3))
@@ -162,18 +178,6 @@ def test_json_malformed_rejected(obj):
 
 # ---------------------------------------------------------------- operations
 
-def test_apply_diag_examples():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(apply_diag([1, 1], a, [1, 1]), a)
-    np.testing.assert_array_equal(apply_diag([2, 1, 1], np.ones((3, 3)), [2, 1, 1]), SCALED_ONES3)
-    np.testing.assert_array_equal(apply_diag([2], [[1.0]], [3]), [[6.0]])
-
-
-def test_apply_diag_length_mismatch():
-    with pytest.raises(DimensionError):
-        apply_diag([1, 2, 3], np.ones((2, 2)), [1, 2])
-
-
 def test_permute_examples():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(permute(a, [0, 1], [0, 1]), a)
@@ -183,7 +187,6 @@ def test_permute_examples():
 # ---------------------------------------------------------------- properties
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-small_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -202,24 +205,3 @@ def test_permute_round_trips_exactly(case):
     inverse_rows = np.argsort(rows)
     inverse_cols = np.argsort(cols)
     assert np.array_equal(permute(permute(a, rows, cols), inverse_rows, inverse_cols), a)
-
-
-@st.composite
-def diag_composition_case(draw):
-    m = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 5))
-    a = draw(arrays(np.float64, (m, n), elements=small_floats))
-    scale = st.floats(min_value=0.5, max_value=2.0, allow_nan=False)
-    d1 = draw(arrays(np.float64, (m,), elements=scale))
-    d2 = draw(arrays(np.float64, (m,), elements=scale))
-    e1 = draw(arrays(np.float64, (n,), elements=scale))
-    e2 = draw(arrays(np.float64, (n,), elements=scale))
-    return a, d1, d2, e1, e2
-
-
-@given(diag_composition_case())
-def test_apply_diag_composes(case):
-    a, d1, d2, e1, e2 = case
-    nested = apply_diag(d1, apply_diag(d2, a, e2), e1)
-    flat = apply_diag(d1 * d2, a, e2 * e1)
-    assert np.abs(nested - flat).max() <= 1e-12

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ucrga.rga as rga_module
 from ucrga import pinv, uc_inverse
-from ucrga.matrix import DimensionError, apply_diag, permute
+from ucrga.matrix import DimensionError, permute
 from ucrga.rga import (
     SingularMatrixError,
     rga_mp,
@@ -22,7 +22,7 @@ from ucrga.rga import (
     scaling_invariance_residual,
 )
 
-from exact import exact_rga
+from exact import exact_rga, exact_uc_rga
 from golden import (
     COLUMN_FACTORS,
     EXACT_RGA_PLANT,
@@ -205,7 +205,7 @@ def test_uc_rank_and_strict_gate_on_sparse_plants_do_not_depend_on_units(name, d
     rng = np.random.default_rng(decades)
     d = 10.0 ** rng.uniform(-decades, decades, g.shape[0])
     e = 10.0 ** rng.uniform(-decades, decades, g.shape[1])
-    rescaled = apply_diag(d, g, e)
+    rescaled = d[:, None] * g * e[None, :]
     base, result = rga_uc(g), rga_uc(rescaled)
     assert result.numerical_rank == base.numerical_rank
     assert np.abs(result.rga - base.rga).max() <= 1e-10 * np.abs(base.rga).max()
@@ -255,6 +255,33 @@ def test_routes_match_the_exact_classical_rga(g):
     tolerance = 1e-9 * max(1.0, float(largest))
     for route in (rga_strict, rga_uc, rga_mp):
         assert np.abs(route(g).rga - expected).max() <= tolerance, route.__name__
+
+
+@st.composite
+def dense_plants(draw):
+    """Gaussian plants of every shape up to 6x6 with no zero entry, each
+    entry scaled by 10**u, u uniform within a per-plant spread of up to 8;
+    also that spread."""
+    m, n, spread = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.floats(0.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-spread, spread, (m, n)), spread
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(dense_plants())
+def test_uc_matches_the_exact_uc_rga_of_dense_plants(case):
+    # the balance and the pseudoinverse both in 60 digits and more, with
+    # four more per decade of spread
+    g, spread = case
+    exact = exact_uc_rga(g.tolist(), 60 + math.ceil(4 * spread))
+    largest = max(abs(x) for row in exact for x in row)
+    # the benchmark's plants keep to the same limit
+    assume(largest <= 100)
+    result = rga_uc(g)
+    # a dense Gaussian plant has full rank: a shortfall is rga_uc's, not the draw's
+    assert result.numerical_rank == min(g.shape)
+    expected = np.array([[float(x) for x in row] for row in exact])
+    assert np.abs(result.rga - expected).max() <= 1e-9 * max(1.0, float(largest))
 
 
 # ------------------------------------------------------------------ inverses
@@ -486,7 +513,7 @@ def test_rescaled_copy_is_exact_in_the_normal_range_or_refused(case):
         assert (c > 0) == (p > 0)
         assert abs(Fraction(c) / scale - p) <= 2 * Fraction(math.ulp(c)) / scale
     with np.errstate(over="ignore", under="ignore"):
-        partial, full = d[:, None] * g, apply_diag(d, g, e)
+        partial, full = d[:, None] * g, d[:, None] * g * e[None, :]
     if all_normal(partial, g) and all_normal(full, g):
         assert shift == 0
         assert copy.tobytes() == full.tobytes()
