@@ -31,6 +31,7 @@ from .rga import (
     RgaResult,
     SingularMatrixError,
     pinv,
+    property_reports,
     rga_mp,
     rga_routes,
     rga_strict,
@@ -64,6 +65,7 @@ __all__ = [
     "parse_csv",
     "permute",
     "pinv",
+    "property_reports",
     "rga_mp",
     "rga_routes",
     "rga_strict",

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .inverse import check_gi_identities, relative_change
 from .matrix import (
     DimensionError,
     MatrixFormatError,
@@ -24,12 +23,12 @@ from .matrix import (
     matrix_from_json,
     matrix_to_json,
     parse_csv,
-    permute,
 )
 from .rga import (
     Check,
     RgaResult,
     SingularMatrixError,
+    property_reports,
     rga_routes,
     rga_summary,
     scaling_invariance_residual,
@@ -40,10 +39,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SINGULAR = 2
 EXIT_PROPERTY = 3
-
-PERMUTATION_TOL = 1e-9
-SCALING_TOL = 1e-7
-IDENTITY_TOL = 1e-8
 
 # range for the seeded random scalings used by `compare` and `check`
 CHECK_SCALE_LOW = 1e-3
@@ -102,11 +97,14 @@ def _digits(text: str) -> int:
 
 def _load_matrix(path: str) -> np.ndarray:
     """The matrix in the file at ``path``: JSON if its first non-whitespace
-    character is ``{`` or ``[``, which no CSV field can begin with, else CSV."""
+    character is ``{`` or ``[``, which no CSV field can begin with, else CSV.
+    A UTF-8 byte-order mark, as spreadsheets write one, is dropped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
-        raise MatrixFormatError(f"cannot read {path}: {exc}") from exc
+        # an OSError's text repeats the path; a decode error's names none
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise MatrixFormatError(f"cannot read {path}: {reason}") from exc
     try:
         if not text.lstrip().startswith(("{", "[")):
             return parse_csv(text)
@@ -127,7 +125,7 @@ def _log_uniform(rng: "np.random.Generator", size: int) -> np.ndarray:
     return np.exp(rng.uniform(np.log(CHECK_SCALE_LOW), np.log(CHECK_SCALE_HIGH), size))
 
 
-def _report_dict(result: RgaResult, checks: list[Check]) -> dict:
+def _report_dict(result: RgaResult, checks: tuple[Check, ...]) -> dict:
     m, n = result.rga.shape
     return {
         "method": result.method,
@@ -153,7 +151,7 @@ def _format_vector(v, digits: int) -> str:
     return " ".join(f"{float(x):.{digits}f}" for x in v)
 
 
-def _print_report(result: RgaResult, checks: list[Check], digits: int) -> None:
+def _print_report(result: RgaResult, checks: tuple[Check, ...], digits: int) -> None:
     m, n = result.rga.shape
     print(f"method: {result.method}")
     print(f"shape: {m}x{n}")
@@ -170,7 +168,7 @@ def _print_report(result: RgaResult, checks: list[Check], digits: int) -> None:
         print(f"check {c.name}: {c.value:.3e} <= {c.threshold:.0e} {status}{note}")
 
 
-def _emit_reports(pairs: list[tuple[RgaResult, list[Check]]], args) -> None:
+def _emit_reports(pairs: list[tuple[RgaResult, tuple[Check, ...]]], args) -> None:
     if args.output == "json":
         dicts = [_report_dict(r, c) for r, c in pairs]
         print(json.dumps(dicts[0] if len(dicts) == 1 else dicts, indent=2))
@@ -187,23 +185,23 @@ def _emit_reports(pairs: list[tuple[RgaResult, list[Check]]], args) -> None:
             _print_report(result, checks, args.digits)
 
 
-def _results(g: np.ndarray, args) -> list[RgaResult]:
-    """The RGA by each requested method; --method all drops strict (with a
-    warning) when it does not apply."""
+def _results(g: np.ndarray, args) -> dict[str, RgaResult]:
+    """The RGA by each requested method, keyed as :func:`rga_routes` keys
+    them; --method all drops strict (with a warning) when it does not apply."""
     if args.method != "all":
-        return list(rga_routes(g, [args.method]).values())
+        return rga_routes(g, [args.method])
     results = rga_routes(g, ("uc", "mp"))
     try:
-        strict = [strict_from_uc(results["uc"])]
+        strict = {"strict": strict_from_uc(results["uc"])}
     except (DimensionError, SingularMatrixError) as exc:
         print(f"warning: strict RGA skipped: {exc}", file=sys.stderr)
-        strict = []
-    return strict + [results["mp"], results["uc"]]
+        strict = {}
+    return {**strict, "mp": results["mp"], "uc": results["uc"]}
 
 
 def _cmd_compute(args) -> int:
     g = _load_matrix(args.input)
-    pairs = [(result, list(rga_summary(result).checks)) for result in _results(g, args)]
+    pairs = [(result, rga_summary(result).checks) for result in _results(g, args).values()]
     _emit_reports(pairs, args)
     return EXIT_OK
 
@@ -216,7 +214,7 @@ def _cmd_compare(args) -> int:
     rng = np.random.default_rng(args.seed)
     d, e = _log_uniform(rng, m), _log_uniform(rng, n)
     residual = scaling_invariance_residual(g, results, d, e)
-    pairs = [(r, list(rga_summary(r).checks)) for r in results.values()]
+    pairs = [(r, rga_summary(r).checks) for r in results.values()]
 
     if args.output == "json":
         report = {
@@ -237,63 +235,26 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _property_checks(
-    result: RgaResult,
-    permuted: RgaResult,
-    scaled_change: float,
-    orders: tuple[np.ndarray, np.ndarray],
-) -> list[Check]:
-    """The summary checks, equivariance under the permutation ``orders``
-    (``permuted`` being the route's result on the permuted copy of g),
-    invariance under rescaling (``scaled_change`` being the change it made),
-    and the generalized-inverse identities of the pair ``result.x`` and
-    ``result.x_pinv`` the RGA was formed from: the identities are homogeneous,
-    and pinv(x), unlike pinv(g), cannot overflow."""
-    checks = list(rga_summary(result).checks)
-    permuted_change = relative_change(permuted.rga, permute(result.rga, *orders))
-    residuals = check_gi_identities(result.x, result.x_pinv)
-    return checks + [
-        Check(name, value, threshold, value <= threshold, False)
-        for name, value, threshold in (
-            ("permutation_equivariance", permuted_change, PERMUTATION_TOL),
-            ("scaling_invariance", scaled_change, SCALING_TOL),
-            ("inverse_identity_aga", residuals.residual_axa, IDENTITY_TOL),
-            ("inverse_identity_gag", residuals.residual_xax, IDENTITY_TOL),
-        )
-    ]
-
-
 def _cmd_check(args) -> int:
     g = _load_matrix(args.input)
     m, n = g.shape
-    base = {r.method: r for r in _results(g, args)}
+    base = _results(g, args)
     # one draw per check, shared by every route, so a route's verdict does
     # not depend on which other routes ran
     rng = np.random.default_rng(args.seed)
     orders = (rng.permutation(m), rng.permutation(n))
-    permuted = rga_routes(permute(g, *orders), list(base))
     d, e = _log_uniform(rng, m), _log_uniform(rng, n)
-    scaled = scaling_invariance_residual(g, base, d, e)
-    pairs = [
-        (result, _property_checks(result, permuted[method], scaled[method], orders))
-        for method, result in base.items()
-    ]
-
+    reports = property_reports(g, base, orders, d, e)
     if args.output == "csv":
-        lines = ["name,value,threshold,passed,informational"]
-        for result, checks in pairs:
-            for c in checks:
-                lines.append(
-                    f"{result.method}:{c.name},{c.value!r},{c.threshold!r},{c.passed},{c.informational}"
-                )
+        lines = ["name,value,threshold,passed,informational"] + [
+            f"{method}:{c.name},{c.value!r},{c.threshold!r},{c.passed},{c.informational}"
+            for method, report in reports.items()
+            for c in report.checks
+        ]
         print("\n".join(lines))
     else:
-        _emit_reports(pairs, args)
-
-    failed = any(
-        not c.passed and not c.informational for _, checks in pairs for c in checks
-    )
-    return EXIT_PROPERTY if failed else EXIT_OK
+        _emit_reports([(base[method], report.checks) for method, report in reports.items()], args)
+    return EXIT_OK if all(r.all_passed for r in reports.values()) else EXIT_PROPERTY
 
 
 def main(argv=None) -> int:

@@ -26,9 +26,9 @@ factors once for strict and uc together.
 
 For every route the element sum of the result equals the numerical rank used
 to form the inverse; for nonsingular square input every row and column sums
-to 1. :func:`rga_summary` packages those checks per matrix, and
-:func:`scaling_invariance_residual` quantifies how much each of a set of
-results moves under a given diagonal rescaling.
+to 1. :func:`rga_summary` packages those checks per matrix,
+:func:`scaling_invariance_residual` measures how far a set of results moves
+under a diagonal rescaling, and :func:`property_reports` runs the whole suite.
 """
 
 from dataclasses import dataclass, replace
@@ -36,8 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .balance import LN2, LOG_MAX, ScalingDecomposition, balance
-from .inverse import relative_change
-from .matrix import DimensionError, as_matrix, as_scaling
+from .inverse import check_gi_identities, relative_change
+from .matrix import DimensionError, as_matrix, as_scaling, permute
 from .svd import scaled_pinv
 
 __all__ = [
@@ -55,9 +55,13 @@ __all__ = [
     "uc_consistency_residual",
     "scaling_invariance_residual",
     "rga_summary",
+    "property_reports",
 ]
 
 SUMMARY_TOL = 1e-7
+PERMUTATION_TOL = 1e-9
+SCALING_TOL = 1e-7
+IDENTITY_TOL = 1e-8
 
 
 class SingularMatrixError(ValueError):
@@ -316,3 +320,35 @@ def rga_summary(result: RgaResult) -> PropertyReport:
             )
         )
     )
+
+
+def property_reports(g, base: dict[str, RgaResult], orders, d, e) -> dict[str, PropertyReport]:
+    """The property suite of each result in ``base`` (as :func:`rga_routes`
+    gave them for ``g``), keyed like ``base``: the :func:`rga_summary`
+    checks, equivariance under the row and column permutation ``orders``,
+    invariance under row scaling ``d`` and column scaling ``e`` (see
+    :func:`scaling_invariance_residual`), and the generalized-inverse
+    identities of the pair ``result.x`` and ``result.x_pinv`` the RGA was
+    formed from: the identities are homogeneous, and pinv(x), unlike
+    pinv(g), cannot overflow.
+
+    The routes run once on the permuted copy of g and once on the rescaled
+    one, and every route in ``base`` reads the same copies.
+    """
+    permuted = rga_routes(permute(g, *orders), list(base))
+    scaled = scaling_invariance_residual(g, base, d, e)
+    reports = {}
+    for method, result in base.items():
+        moved = relative_change(permuted[method].rga, permute(result.rga, *orders))
+        residuals = check_gi_identities(result.x, result.x_pinv)
+        checks = (
+            Check(name, value, threshold, value <= threshold, False)
+            for name, value, threshold in (
+                ("permutation_equivariance", moved, PERMUTATION_TOL),
+                ("scaling_invariance", scaled[method], SCALING_TOL),
+                ("inverse_identity_aga", residuals.residual_axa, IDENTITY_TOL),
+                ("inverse_identity_gag", residuals.residual_xax, IDENTITY_TOL),
+            )
+        )
+        reports[method] = PropertyReport(rga_summary(result).checks + tuple(checks))
+    return reports

@@ -3,23 +3,22 @@
 Every float64 is a rational number, so a nonsingular square matrix of floats
 has an exact RGA g * inv(g).T. This module computes it by Gauss-Jordan
 elimination over ``fractions.Fraction``, and the unit-consistent RGA of a
-plant of any shape with no zero entry over ``decimal.Decimal`` at a chosen
-precision. It uses only the standard library, so it shares no rounding with
-LAPACK or numpy: an error that every float64 oracle inherits from the same
-factorization shows up against it.
+plant of any shape and any pattern of zeros over ``decimal.Decimal`` at a
+chosen precision. It uses only the standard library, so it shares no
+rounding with LAPACK or numpy: an error that every float64 oracle inherits
+from the same factorization shows up against it.
 """
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
-def _invert(a):
-    """inv(a) for a square list of rows of Fractions or Decimals, by
-    Gauss-Jordan elimination on the largest pivot of each column, or None if
-    a column has no nonzero pivot."""
+def _solve(a, b):
+    """inv(a) @ b for a square list of rows ``a`` and a list of rows ``b``,
+    of Fractions or Decimals, by Gauss-Jordan elimination on the largest
+    pivot of each column, or None if a column has no nonzero pivot."""
     n = len(a)
-    kind = type(a[0][0])
-    rows = [list(row) + [kind(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    rows = [list(row) + list(extra) for row, extra in zip(a, b)]
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
         if rows[pivot][col] == 0:
@@ -37,7 +36,9 @@ def exact_inverse(g):
     """inv(g) as a list of rows of Fractions, or None if g is singular.
 
     ``g`` is a square sequence of rows of floats, ints or Fractions."""
-    return _invert([[Fraction(x) for x in row] for row in g])
+    n = len(g)
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return _solve([[Fraction(x) for x in row] for row in g], identity)
 
 
 def exact_rga(g):
@@ -50,38 +51,71 @@ def exact_rga(g):
 
 
 def exact_uc_rga(g, digits):
-    """The unit-consistent RGA X * pinv(X).T of a plant with no zero entry,
-    as a list of rows of Decimals, every step rounded to ``digits``
-    significant digits; None if X has less than full rank.
+    """The unit-consistent RGA X * pinv(X).T of a plant of any shape and
+    support, as a list of rows of Decimals, every step rounded to ``digits``
+    significant digits; None if elimination meets a zero pivot in X's Gram
+    matrix.
 
-    ``g`` is a sequence of m rows of n floats. X is g balanced in closed
-    form: two-way centering of ln|g| makes every row and column of |X| have
-    unit geometric mean, and X keeps the signs of g. pinv(X) is
-    X.T @ inv(X @ X.T) for m <= n and inv(X.T @ X) @ X.T otherwise."""
+    ``g`` is a sequence of m rows of n floats. X is g balanced, keeping its
+    signs: X_ij = g_ij * exp(u_i + v_j), where u and v solve the normal
+    equations of the least-squares problem ln|g_ij| + u_i + v_j = 0 over the
+    nonzero entries (the Laplacian of their bipartite graph, up to the sign
+    of v). They say that every row and column of |X| has unit geometric mean
+    over its nonzeros, and they leave one constant free in each connected
+    component (u + t, v - t), which moves no entry of X: the first row or
+    column of each component is held at zero, so an empty line stays zero.
+
+    pinv(X) is X.T @ inv(X @ X.T), which holds only for X of full rank. On a
+    rank-deficient X, rounding can leave the Gram matrix invertible, and the
+    result is then meaningless, so this oracle is for full-rank plants."""
     m, n = len(g), len(g[0])
-    if any(x == 0 for row in g for x in row):
-        raise ValueError("the closed-form balance needs a plant with no zero entry")
+    if m > n:
+        # pinv(X.T) is pinv(X).T, so the RGA of g.T is that of g transposed
+        rga = exact_uc_rga([list(column) for column in zip(*g)], digits)
+        return None if rga is None else [list(column) for column in zip(*rga)]
+    support = [(i, j) for i in range(m) for j in range(n) if g[i][j] != 0]
+    # node i is row i and node m + j column j; each component's root is held
+    root = list(range(m + n))
+    for i, j in support:
+        a, b = _find(root, i), _find(root, m + j)
+        root[max(a, b)] = min(a, b)
+    free = [k for k in range(m + n) if _find(root, k) != k]
     with localcontext() as context:
         context.prec = digits
         # Decimal(float) is exact; ln rounds once
-        logs = [[Decimal(abs(x)).ln() for x in row] for row in g]
-        row_means = [sum(row) / n for row in logs]
-        col_means = [sum(row[j] for row in logs) / m for j in range(n)]
-        grand_mean = sum(row_means) / m
+        logs = {(i, j): Decimal(abs(g[i][j])).ln() for i, j in support}
+        normal = [[Decimal(0)] * (m + n) for _ in range(m + n)]
+        rhs = [Decimal(0)] * (m + n)
+        for (i, j), log in logs.items():
+            for a, b in ((i, m + j), (m + j, i)):
+                normal[a][a] += 1
+                normal[a][b] += 1
+                rhs[a] -= log
+        solution = _solve([[normal[a][b] for b in free] for a in free], [[rhs[a]] for a in free])
+        scale = [Decimal(0)] * (m + n)
+        for k, (value,) in zip(free, solution):
+            scale[k] = value
         x = [
             [
-                (logs[i][j] - row_means[i] - col_means[j] + grand_mean).exp().copy_sign(Decimal(g[i][j]))
+                (logs[i, j] + scale[i] + scale[m + j]).exp().copy_sign(Decimal(g[i][j]))
+                if (i, j) in logs
+                else Decimal(0)
                 for j in range(n)
             ]
             for i in range(m)
         ]
-        xt = [list(column) for column in zip(*x)]
-        wide = m <= n
-        gram = _invert(_product(x, xt) if wide else _product(xt, x))
-        if gram is None:
+        # pinv(X).T = inv(X @ X.T) @ X, the Gram matrix being symmetric
+        x_pinv_t = _solve(_product(x, [list(column) for column in zip(*x)]), x)
+        if x_pinv_t is None:
             return None
-        x_pinv = _product(xt, gram) if wide else _product(gram, xt)
-        return [[x[i][j] * x_pinv[j][i] for j in range(n)] for i in range(m)]
+        return [[x[i][j] * x_pinv_t[i][j] for j in range(n)] for i in range(m)]
+
+
+def _find(root, k):
+    """The root of node k in the union-find forest ``root``."""
+    while root[k] != k:
+        k = root[k]
+    return k
 
 
 def _product(a, b):

@@ -1,5 +1,6 @@
 """Tests for the command line interface: exit codes, output formats, determinism."""
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -10,7 +11,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from ucrga import cli
 from ucrga.cli import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_SINGULAR, main
 from ucrga.matrix import format_csv, matrix_from_json, parse_csv
-from ucrga.rga import rga_mp, rga_strict, rga_uc
+from ucrga.rga import property_reports, rga_mp, rga_strict, rga_uc
 
 from golden import EXACT_RGA_PLANT, MP_RGA_SCALED_ONES3, ONES3, PLANT, UNCONVERGED_BIDIAGONAL
 from suites import sparse_suite
@@ -113,8 +114,11 @@ def test_compute_infers_json_format(capsys):
         ("matrix.txt", '{"rows": 1, "cols": 2, "data": [1.0, 2.0]}'),
         ("matrix.csv", ' \n\t{"rows": 1, "cols": 2, "data": [1.0, 2.0]}'),
         ("matrix.json", "1,2\n"),
+        # spreadsheets write a UTF-8 byte-order mark before the first field
+        ("bom.csv", "\ufeff1,2\n"),
+        ("bom.json", '\ufeff{"rows": 1, "cols": 2, "data": [1.0, 2.0]}'),
     ],
-    ids=["json-in-txt", "json-after-whitespace", "csv-in-json"],
+    ids=["json-in-txt", "json-after-whitespace", "csv-in-json", "bom-csv", "bom-json"],
 )
 def test_the_first_character_gives_the_input_format(tmp_path, capsys, name, text):
     # the file name plays no part
@@ -207,17 +211,36 @@ def test_a_long_csv_field_gives_one_short_error_line(tmp_path, capsys, text, quo
 
 @pytest.mark.parametrize(
     "data",
-    [b"[1, 2]", b'{"rows": 1, "cols": 2}', b'{"rows": 1, "cols": 1, "data": [NaN]}', b"\xff1,2\n"],
-    ids=["json-not-an-object", "json-missing-data", "json-non-finite", "not-utf-8"],
+    [
+        b"[1, 2]",
+        b'{"rows": 1, "cols": 2}',
+        b'{"rows": 1, "cols": 1, "data": [NaN]}',
+        b"\xff1,2\n",
+        None,
+        "directory",
+    ],
+    ids=[
+        "json-not-an-object",
+        "json-missing-data",
+        "json-non-finite",
+        "not-utf-8",
+        "missing",
+        "directory",
+    ],
 )
 def test_every_input_error_names_the_file(tmp_path, capsys, data):
     path = tmp_path / "matrix.json"
-    path.write_bytes(data)
+    if data == "directory":
+        path.mkdir()
+    elif data is not None:
+        path.write_bytes(data)
     assert main(["compute", "--input", str(path)]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and f" {path}: " in line
+    # an OSError's own text would name it a second time
+    assert line.count(str(path)) == 1
 
 
 @pytest.mark.parametrize(
@@ -418,6 +441,35 @@ def test_all_balances_strict_and_uc_alike(tmp_path, capsys):
     converged = {r["method"]: r["balancer_converged"] for r in reports}
     assert converged == {"strict": False, "mp": True, "uc": False}
     assert reports[0]["rga"] == reports[2]["rga"]
+
+
+@pytest.mark.parametrize("method", ["strict", "mp", "uc", "all"])
+@pytest.mark.parametrize("fixture", sorted(FIXTURES.iterdir()), ids=lambda path: path.name)
+def test_check_prints_property_reports_on_its_own_draws(capsys, fixture, method):
+    # a library caller reproduces the printed verdict from the documented
+    # draws: two permutations, then d, then e, from the seed (42 by default)
+    code = main(["check", "--input", str(fixture), "--method", method, "--output", "json"])
+    out = capsys.readouterr().out
+    g = cli._load_matrix(str(fixture))
+    if code in (EXIT_SINGULAR, EXIT_INPUT):
+        # only strict refuses a fixture: a singular or non-square plant
+        assert method == "strict" and out == ""
+        with pytest.raises(ValueError):
+            rga_strict(g)
+        return
+    base = cli._results(g, argparse.Namespace(method=method))
+    m, n = g.shape
+    rng = np.random.default_rng(42)
+    orders = (rng.permutation(m), rng.permutation(n))
+    d, e = cli._log_uniform(rng, m), cli._log_uniform(rng, n)
+    reports = property_reports(g, base, orders, d, e)
+    printed = json.loads(out)
+    printed = printed if isinstance(printed, list) else [printed]
+    assert [(r["method"], r["checks"]) for r in printed] == [
+        (route, [asdict(c) for c in report.checks]) for route, report in reports.items()
+    ]
+    passed = all(report.all_passed for report in reports.values())
+    assert code == (EXIT_OK if passed else EXIT_PROPERTY)
 
 
 @pytest.mark.parametrize(
