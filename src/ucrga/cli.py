@@ -2,8 +2,8 @@
 from CSV or JSON matrix files.
 
 Exit codes: 0 success, 1 input/parse failure (usage errors included) or an
-output the reader closed early, 2 strict method on a singular matrix, 3
-property-check failure.
+output the reader closed early, 2 strict method on a singular input (check's
+copies meet no rank gate), 3 property-check failure.
 """
 
 import argparse
@@ -25,6 +25,7 @@ from .matrix import (
     parse_csv,
 )
 from .rga import (
+    COMPUTATION,
     Check,
     RgaResult,
     SingularMatrixError,
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "compare":
             p.add_argument(
                 "--method",
-                choices=["strict", "mp", "uc", "all"],
+                choices=[*COMPUTATION, "all"],
                 default="uc",
                 help="RGA variant (default: uc)",
             )
@@ -190,13 +191,12 @@ def _results(g: np.ndarray, args) -> dict[str, RgaResult]:
     them; --method all drops strict (with a warning) when it does not apply."""
     if args.method != "all":
         return rga_routes(g, [args.method])
-    results = rga_routes(g, ("uc", "mp"))
+    results = rga_routes(g, ("mp", "uc"))
     try:
-        strict = {"strict": strict_from_uc(results["uc"])}
+        return {"strict": strict_from_uc(results["uc"]), **results}
     except (DimensionError, SingularMatrixError) as exc:
         print(f"warning: strict RGA skipped: {exc}", file=sys.stderr)
-        strict = {}
-    return {**strict, "mp": results["mp"], "uc": results["uc"]}
+        return results
 
 
 def _cmd_compute(args) -> int:

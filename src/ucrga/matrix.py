@@ -66,13 +66,13 @@ def as_scaling(entries, size: int | None = None) -> np.ndarray:
 
 
 def as_permutation(mapping, size: int | None = None) -> np.ndarray:
-    """Validate an index vector as a bijection on 0..n-1."""
-    p = np.array(mapping, dtype=int).reshape(-1)
+    """Validate an index vector as a bijection on 0..n-1: 1.0 counts as 1, 1.9 as no index."""
+    p = np.asarray(mapping).reshape(-1)
     if size is not None and p.size != size:
         raise DimensionError(f"permutation has length {p.size}, expected {size}")
     if not np.array_equal(np.sort(p), np.arange(p.size)):
         raise ValueError("permutation must contain each index 0..n-1 exactly once")
-    return p
+    return p.astype(int)
 
 
 def parse_csv(text: str) -> np.ndarray:

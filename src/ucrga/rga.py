@@ -63,6 +63,9 @@ PERMUTATION_TOL = 1e-9
 SCALING_TOL = 1e-7
 IDENTITY_TOL = 1e-8
 
+# the computation behind each route: strict is uc behind a rank gate on the input
+COMPUTATION = {"strict": "uc", "mp": "mp", "uc": "uc"}
+
 
 class SingularMatrixError(ValueError):
     """Raised when the strict RGA is requested for a numerically singular matrix."""
@@ -238,42 +241,38 @@ def rga_routes(g, methods) -> dict[str, RgaResult]:
     """The RGA by each route named in ``methods`` ('strict', 'mp' or 'uc'),
     keyed in that order.
 
-    Strict and uc share one :func:`rga_uc` result, strict taking it through
-    :func:`strict_from_uc`.
+    Each computation behind them (``COMPUTATION``) runs once: strict takes
+    uc's :func:`rga_uc` result through :func:`strict_from_uc`.
     """
     if isinstance(methods, str):
         raise TypeError(
             f"methods must be a sequence of names such as ({methods!r},), not a string"
         )
+    methods = tuple(methods)  # read twice, so an iterator is read once first
     for method in methods:
-        if method not in ("strict", "mp", "uc"):
+        if method not in COMPUTATION:
             raise ValueError(f"method must be 'strict', 'mp' or 'uc', got {method!r}")
-    results = {}
-    uc = None
-    for method in methods:
-        if method == "mp":
-            results[method] = rga_mp(g)
-            continue
-        if uc is None:
-            uc = rga_uc(g)
-        results[method] = strict_from_uc(uc) if method == "strict" else uc
-    return results
+    names = dict.fromkeys(COMPUTATION[method] for method in methods)
+    computed = {name: rga_mp(g) if name == "mp" else rga_uc(g) for name in names}
+    return {m: strict_from_uc(computed["uc"]) if m == "strict" else computed[m] for m in methods}
 
 
 def scaling_invariance_residual(g, base: dict[str, RgaResult], d, e) -> dict[str, float]:
     """Relative max-abs change of each RGA in ``base`` (as :func:`rga_routes`
-    gave them for ``g``) when the routes run again on g under row scaling
-    ``d`` and column scaling ``e``, keyed like ``base``.
+    gave them for ``g``) when its computation runs again on g under row
+    scaling ``d`` and column scaling ``e``, keyed like ``base``.
 
-    Zero in exact arithmetic for the unit-consistent route (and for the
-    strict route on nonsingular input); typically order one for the
-    Moore-Penrose route whenever rank deficiency or rescaling matters.
+    Zero in exact arithmetic for uc, whose result strict reads, so the copy
+    meets no rank gate; typically order one for the Moore-Penrose route
+    whenever rank deficiency or rescaling matters.
 
-    No route's RGA depends on an overall constant factor, so the routes run
+    No RGA depends on an overall constant factor, so the computations run
     on the copy :func:`_rescaled_copy` forms.
     """
-    scaled = rga_routes(_rescaled_copy(np.asarray(g, dtype=float), d, e)[0], list(base))
-    return {method: relative_change(scaled[method].rga, r.rga) for method, r in base.items()}
+    # an unknown name passes through, for rga_routes to refuse
+    copy = _rescaled_copy(np.asarray(g, dtype=float), d, e)[0]
+    scaled = rga_routes(copy, [COMPUTATION.get(method, method) for method in base])
+    return {m: relative_change(scaled[COMPUTATION[m]].rga, r.rga) for m, r in base.items()}
 
 
 def _rescaled_copy(g: np.ndarray, d, e) -> tuple[np.ndarray, int]:
@@ -332,13 +331,14 @@ def property_reports(g, base: dict[str, RgaResult], orders, d, e) -> dict[str, P
     formed from: the identities are homogeneous, and pinv(x), unlike
     pinv(g), cannot overflow.
 
-    The routes run once on the permuted copy of g and once on the rescaled
-    one, and every route in ``base`` reads the same copies.
+    Each computation behind ``base`` runs once on the permuted copy of g and
+    once on the rescaled one and makes one report, which strict shares with uc.
     """
-    permuted = rga_routes(permute(g, *orders), list(base))
-    scaled = scaling_invariance_residual(g, base, d, e)
+    results = {COMPUTATION.get(method, method): result for method, result in base.items()}
+    permuted = rga_routes(permute(g, *orders), list(results))
+    scaled = scaling_invariance_residual(g, results, d, e)
     reports = {}
-    for method, result in base.items():
+    for method, result in results.items():
         moved = relative_change(permuted[method].rga, permute(result.rga, *orders))
         residuals = check_gi_identities(result.x, result.x_pinv)
         checks = (
@@ -351,4 +351,4 @@ def property_reports(g, base: dict[str, RgaResult], orders, d, e) -> dict[str, P
             )
         )
         reports[method] = PropertyReport(rga_summary(result).checks + tuple(checks))
-    return reports
+    return {method: reports[COMPUTATION[method]] for method in base}

@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ucrga.rga as rga_module
 from ucrga import cli
 from ucrga.cli import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_SINGULAR, main
 from ucrga.matrix import format_csv, matrix_from_json, parse_csv
-from ucrga.rga import property_reports, rga_mp, rga_strict, rga_uc
+from ucrga.rga import SingularMatrixError, property_reports, rga_mp, rga_strict, rga_uc
 
 from golden import EXACT_RGA_PLANT, MP_RGA_SCALED_ONES3, ONES3, PLANT, UNCONVERGED_BIDIAGONAL
 from suites import sparse_suite
@@ -517,6 +518,78 @@ def test_cli_computes_each_result_once(monkeypatch, capsys, argv, balances, fact
     assert main([*argv, "--input", PLANT_CSV, "--output", "json"]) == EXIT_OK
     capsys.readouterr()
     assert (calls["balance"], calls["scaled_pinv"]) == (balances, factorizations)
+
+
+def test_check_all_builds_one_report_per_computation(monkeypatch, capsys):
+    # strict's report is uc's, so each check runs for uc and mp only
+    calls = Counter()
+    for name in ("check_gi_identities", "rga_summary"):
+
+        def counted(*args, _name=name, _original=getattr(rga_module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(rga_module, name, counted)
+    assert main(["check", "--method", "all", "--input", PLANT_CSV, "--output", "json"]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == {"check_gi_identities": 2, "rga_summary": 2}
+
+
+def rank_boundary_plant():
+    """g(t) = u @ diag(1, 0.5, 0.3, t) @ v.T, u and v the Q factors of two
+    Gaussian 4x4 draws from default_rng(0), and the least t found, in 60
+    bisection steps over [1e-14, 1e-9], at which the balanced core has rank 4."""
+    rng = np.random.default_rng(0)
+    u = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    v = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+
+    def g(t):
+        return (u * [1, 0.5, 0.3, t]) @ v.T
+
+    low, high = 1e-14, 1e-9
+    for _ in range(60):
+        mid = (low + high) / 2
+        low, high = (low, mid) if rga_uc(g(mid)).numerical_rank == 4 else (mid, high)
+    return g, high
+
+
+def test_check_gates_only_the_input_at_the_rank_cutoff(monkeypatch, tmp_path, capsys):
+    # a permuted or rescaled copy of a plant at the cutoff can read rank 3;
+    # strict once put each copy through its rank gate and exited 2 on an
+    # input compute --method strict accepts, for most seeds
+    g, flip = rank_boundary_plant()
+    ranks = []
+
+    def recorded(x, _original=rga_module.rga_uc):
+        result = _original(x)
+        ranks.append(result.numerical_rank)
+        return result
+
+    monkeypatch.setattr(rga_module, "rga_uc", recorded)
+    path = tmp_path / "boundary.csv"
+    copy_ranks = set()
+    for t in (flip + k * np.spacing(flip) for k in (0, 16, 256, 4096)):
+        plant = g(t)
+        try:
+            rga_strict(plant)
+        except SingularMatrixError:
+            continue
+        path.write_text(format_csv(plant))
+        for seed in range(8):
+            for method in ("strict", "all"):
+                ranks.clear()
+                argv = ["check", "--input", str(path), "--method", method, "--seed", str(seed)]
+                code = main([*argv, "--output", "json"])
+                assert code != EXIT_SINGULAR, (t, seed, method)
+                reports = json.loads(capsys.readouterr().out)
+                # the input's rank, then the copies'
+                assert ranks[0] == 4
+                copy_ranks.update(ranks[1:])
+                if method == "all":
+                    strict, _, uc = reports
+                    assert strict["checks"] == uc["checks"]
+    # otherwise no copy fell below the input's rank, and nothing was tested
+    assert 3 in copy_ranks
 
 
 def test_check_csv_output_lists_checks(capsys):

@@ -62,6 +62,20 @@ def test_as_permutation_rejects_non_bijection():
         as_permutation([0, 1], size=3)
 
 
+@pytest.mark.parametrize("mapping", [[0.0, 1.9], [0.5, 1.5]])
+def test_as_permutation_rejects_non_integer_indices(mapping):
+    # a cast to int once truncated these to [0, 1], a silent identity
+    with pytest.raises(ValueError, match="exactly once"):
+        as_permutation(mapping)
+    with pytest.raises(ValueError, match="exactly once"):
+        permute(np.diag([1.0, 2.0]), mapping, [0, 1])
+
+
+def test_as_permutation_returns_integer_valued_entries_as_ints():
+    p = as_permutation([1.0, 0.0])
+    assert p.dtype.kind == "i" and p.tolist() == [1, 0]
+
+
 # ----------------------------------------------------------------------- csv
 
 def test_parse_csv_basic():

@@ -258,6 +258,25 @@ def test_routes_match_the_exact_classical_rga(g):
         assert np.abs(route(g).rga - expected).max() <= tolerance, route.__name__
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=SingularMatrixError,
+    reason="ROADMAP item 9: the graded balanced core reads rank 5 of 6",
+)
+def test_strict_matches_the_exact_rga_of_a_graded_plant():
+    # entry magnitudes spread over 10**±10 independently, which balancing
+    # leaves in the core; the plant is nonsingular and the classical formula
+    # gets its RGA right, so only the rank decision stands in the way
+    r = np.random.default_rng(1001)
+    g = r.standard_normal((6, 6)) * 10.0 ** r.uniform(-10, 10, (6, 6))
+    exact = exact_rga(g.tolist())
+    largest = max(abs(x) for row in exact for x in row)
+    expected = np.array([[float(x) for x in row] for row in exact])
+    tolerance = 1e-9 * max(1.0, float(largest))
+    assert np.abs(g * np.linalg.inv(g).T - expected).max() <= tolerance
+    assert np.abs(rga_strict(g).rga - expected).max() <= tolerance
+
+
 @st.composite
 def dense_plants(draw):
     """Gaussian plants of every shape up to 6x6 with no zero entry, each
@@ -391,6 +410,8 @@ def test_routes_balance_and_factor_strict_and_uc_once(monkeypatch):
 def test_routes_are_keyed_in_the_order_asked():
     assert list(rga_routes(PLANT, ("uc", "mp", "strict"))) == ["uc", "mp", "strict"]
     assert list(rga_routes(PLANT, ())) == []
+    # validating the names once used up an iterator and returned {}
+    assert list(rga_routes(PLANT, iter(["mp", "strict"]))) == ["mp", "strict"]
 
 
 def test_routes_take_no_tolerance():
@@ -453,6 +474,8 @@ def test_scaling_invariance_rejects_unknown_method():
     base = {"qr": rga_uc(PLANT)}
     with pytest.raises(ValueError, match="method"):
         scaling_invariance_residual(PLANT, base, np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="method"):
+        property_reports(PLANT, base, ([0, 1, 2], [0, 1, 2]), np.ones(3), np.ones(3))
 
 
 def test_routes_reject_a_bare_string():
@@ -621,6 +644,28 @@ def test_property_reports_tell_the_routes_apart():
     }
     assert failed == {"mp": ["scaling_invariance"], "uc": []}
     assert not reports["mp"].all_passed and reports["uc"].all_passed
+
+
+def test_property_reports_give_strict_the_uc_report(monkeypatch):
+    # strict is uc behind a rank gate on the input, so its suite is uc's:
+    # one report, the copies run through uc and never meet the gate
+    calls = Counter()
+    for name in ("rga_uc", "rga_summary", "check_gi_identities"):
+
+        def counted(*args, _name=name, _original=getattr(rga_module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(rga_module, name, counted)
+    base = rga_routes(PLANT, ("strict", "mp", "uc"))
+    orders = ([2, 0, 1], [1, 2, 0])
+    reports = property_reports(PLANT, base, orders, [1e-3, 1.0, 10.0], [5.0, 1.0, 1e2])
+    assert list(reports) == ["strict", "mp", "uc"]
+    assert reports["strict"] is reports["uc"] and reports["uc"].all_passed
+    # the base, the permuted copy and the rescaled copy; one report each for uc and mp
+    assert calls == {"rga_uc": 3, "rga_summary": 2, "check_gi_identities": 2}
+    alone = property_reports(PLANT, {"strict": base["strict"]}, orders, [2.0] * 3, [3.0] * 3)
+    assert list(alone) == ["strict"]
 
 
 # ---------------------------------------------------------------- invariants
