@@ -1,4 +1,4 @@
-from ucrga.cli import main
+from ucrga.cli import run
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -7,8 +7,11 @@ copies meet no rank gate), 3 property-check failure.
 """
 
 import argparse
+import gc
 import json
+import math
 import os
+import random
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -120,10 +123,16 @@ def _load_matrix(path: str) -> np.ndarray:
         raise MatrixFormatError(f"{path}: {exc}") from None
 
 
-# quoted, so that importing the CLI does not load numpy.random: only the
-# commands that draw numbers need it
-def _log_uniform(rng: "np.random.Generator", size: int) -> np.ndarray:
-    return np.exp(rng.uniform(np.log(CHECK_SCALE_LOW), np.log(CHECK_SCALE_HIGH), size))
+def _draws(seed: int, m: int, n: int) -> tuple[tuple[list, list], list, list]:
+    """The orders, d and e of ``check`` and ``compare`` from stdlib
+    ``random.Random(seed).random()``, drawn in turn: m and n draws whose stable
+    argsorts are the row and column orders, then m for d and n for e, each
+    factor exp(log 1e-3 + u * (log 1e3 - log 1e-3))."""
+    u = random.Random(seed).random
+    keys = [[u() for _ in range(size)] for size in (m, n)]
+    low, high = math.log(CHECK_SCALE_LOW), math.log(CHECK_SCALE_HIGH)
+    d, e = [[math.exp(low + u() * (high - low)) for _ in range(size)] for size in (m, n)]
+    return tuple(sorted(range(len(k)), key=k.__getitem__) for k in keys), d, e
 
 
 def _report_dict(result: RgaResult, checks: tuple[Check, ...]) -> dict:
@@ -133,8 +142,8 @@ def _report_dict(result: RgaResult, checks: tuple[Check, ...]) -> dict:
         "shape": [m, n],
         "rank": result.numerical_rank,
         "rga": matrix_to_json(result.rga),
-        "row_sums": [float(x) for x in result.row_sums],
-        "col_sums": [float(x) for x in result.col_sums],
+        "row_sums": result.row_sums.tolist(),
+        "col_sums": result.col_sums.tolist(),
         "element_sum": float(result.element_sum),
         "balancer_converged": bool(result.balancer_converged),
         "checks": [asdict(c) for c in checks],
@@ -211,8 +220,7 @@ def _cmd_compare(args) -> int:
     m, n = g.shape
     results = rga_routes(g, ("mp", "uc"))
     difference = float(np.abs(results["mp"].rga - results["uc"].rga).max())
-    rng = np.random.default_rng(args.seed)
-    d, e = _log_uniform(rng, m), _log_uniform(rng, n)
+    _, d, e = _draws(args.seed, m, n)
     residual = scaling_invariance_residual(g, results, d, e)
     pairs = [(r, rga_summary(r).checks) for r in results.values()]
 
@@ -241,9 +249,7 @@ def _cmd_check(args) -> int:
     base = _results(g, args)
     # one draw per check, shared by every route, so a route's verdict does
     # not depend on which other routes ran
-    rng = np.random.default_rng(args.seed)
-    orders = (rng.permutation(m), rng.permutation(n))
-    d, e = _log_uniform(rng, m), _log_uniform(rng, n)
+    orders, d, e = _draws(args.seed, m, n)
     reports = property_reports(g, base, orders, d, e)
     if args.output == "csv":
         lines = ["name,value,threshold,passed,informational"] + [
@@ -283,5 +289,14 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry point of ``python -m ucrga`` and the ``ucrga`` script."""
+    # the collections at interpreter exit would walk every object the imports
+    # built, and frozen objects are skipped; main never freezes, since a
+    # cycle made before a freeze is never collected in a caller's process
+    gc.freeze()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -132,7 +132,7 @@ def format_csv(a) -> str:
 def matrix_to_json(a) -> dict:
     """Matrix as a JSON-ready object: {"rows", "cols", "data"} with row-major data."""
     a = as_matrix(a)
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": [float(x) for x in a.ravel()]}
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": a.ravel().tolist()}
 
 
 def matrix_from_json(obj) -> np.ndarray:

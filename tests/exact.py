@@ -2,9 +2,11 @@
 
 Every float64 is a rational number, so a nonsingular square matrix of floats
 has an exact RGA g * inv(g).T. This module computes it by Gauss-Jordan
-elimination over ``fractions.Fraction``, and the unit-consistent RGA of a
-plant of any shape and any pattern of zeros over ``decimal.Decimal`` at a
-chosen precision. It uses only the standard library, so it shares no
+elimination over ``fractions.Fraction``, and the unit-consistent RGA over
+``decimal.Decimal`` at a chosen precision: of a full-rank plant of any shape
+and any pattern of zeros, and of a singular or rectangular plant of known
+rank r built as the product of integer factors of rank r, whose unit-consistent
+inverse it also gives. It uses only the standard library, so it shares no
 rounding with LAPACK or numpy: an error that every float64 oracle inherits
 from the same factorization shows up against it.
 """
@@ -67,34 +69,16 @@ def exact_uc_rga(g, digits):
 
     pinv(X) is X.T @ inv(X @ X.T), which holds only for X of full rank. On a
     rank-deficient X, rounding can leave the Gram matrix invertible, and the
-    result is then meaningless, so this oracle is for full-rank plants."""
+    result is then meaningless, so this is for full-rank plants; a plant of
+    lower rank goes to :func:`exact_uc_of_product` as its factors."""
     m, n = len(g), len(g[0])
     if m > n:
         # pinv(X.T) is pinv(X).T, so the RGA of g.T is that of g transposed
-        rga = exact_uc_rga([list(column) for column in zip(*g)], digits)
-        return None if rga is None else [list(column) for column in zip(*rga)]
-    support = [(i, j) for i in range(m) for j in range(n) if g[i][j] != 0]
-    # node i is row i and node m + j column j; each component's root is held
-    root = list(range(m + n))
-    for i, j in support:
-        a, b = _find(root, i), _find(root, m + j)
-        root[max(a, b)] = min(a, b)
-    free = [k for k in range(m + n) if _find(root, k) != k]
+        rga = exact_uc_rga(_transpose(g), digits)
+        return None if rga is None else _transpose(rga)
     with localcontext() as context:
         context.prec = digits
-        # Decimal(float) is exact; ln rounds once
-        logs = {(i, j): Decimal(abs(g[i][j])).ln() for i, j in support}
-        normal = [[Decimal(0)] * (m + n) for _ in range(m + n)]
-        rhs = [Decimal(0)] * (m + n)
-        for (i, j), log in logs.items():
-            for a, b in ((i, m + j), (m + j, i)):
-                normal[a][a] += 1
-                normal[a][b] += 1
-                rhs[a] -= log
-        solution = _solve([[normal[a][b] for b in free] for a in free], [[rhs[a]] for a in free])
-        scale = [Decimal(0)] * (m + n)
-        for k, (value,) in zip(free, solution):
-            scale[k] = value
+        logs, scale = _balance(g)
         x = [
             [
                 (logs[i, j] + scale[i] + scale[m + j]).exp().copy_sign(Decimal(g[i][j]))
@@ -105,10 +89,64 @@ def exact_uc_rga(g, digits):
             for i in range(m)
         ]
         # pinv(X).T = inv(X @ X.T) @ X, the Gram matrix being symmetric
-        x_pinv_t = _solve(_product(x, [list(column) for column in zip(*x)]), x)
+        x_pinv_t = _solve(_product(x, _transpose(x)), x)
         if x_pinv_t is None:
             return None
         return [[x[i][j] * x_pinv_t[i][j] for j in range(n)] for i in range(m)]
+
+
+def exact_uc_of_product(a, b, digits):
+    """The unit-consistent RGA X * pinv(X).T and the unit-consistent inverse
+    diag(e^v) pinv(X) diag(e^u) of g = a @ b, as lists of rows of Decimals,
+    every step rounded to ``digits`` significant digits, with X, u and v as
+    in :func:`exact_uc_rga`.
+
+    ``a`` (m x r) and ``b`` (r x n) are lists of rows of ints, each of rank r,
+    so g is exact in float64 while its entries stay below 2**53, and its rank
+    is exactly r. X is F @ G with F = diag(e^u) a and G = b diag(e^v), both of
+    rank r, so pinv(X) = G.T inv(G G.T) inv(F.T F) F.T (Ben-Israel and
+    Greville, Generalized Inverses, 2003), which needs only r x r solves."""
+    g = _product(a, b)
+    m, n = len(g), len(g[0])
+    with localcontext() as context:
+        context.prec = digits
+        scale = [value.exp() for value in _balance(g)[1]]
+        f = [[scale[i] * x for x in row] for i, row in enumerate(a)]
+        h = [[x * scale[m + j] for j, x in enumerate(row)] for row in b]
+        f_t, h_t = _transpose(f), _transpose(h)
+        x_pinv = _product(h_t, _solve(_product(h, h_t), _solve(_product(f_t, f), f_t)))
+        x = _product(f, h)
+        rga = [[x[i][j] * x_pinv[j][i] for j in range(n)] for i in range(m)]
+        inverse = [[scale[m + j] * x_pinv[j][i] * scale[i] for i in range(m)] for j in range(n)]
+        return rga, inverse
+
+
+def _balance(g):
+    """ln|g_ij| over the support of g, keyed by (i, j), and the balancing
+    exponents u_0..u_m-1, v_0..v_n-1 of :func:`exact_uc_rga` as one list, in
+    the current decimal context."""
+    m, n = len(g), len(g[0])
+    support = [(i, j) for i in range(m) for j in range(n) if g[i][j] != 0]
+    # node i is row i and node m + j column j; each component's root is held
+    root = list(range(m + n))
+    for i, j in support:
+        a, b = _find(root, i), _find(root, m + j)
+        root[max(a, b)] = min(a, b)
+    free = [k for k in range(m + n) if _find(root, k) != k]
+    # Decimal(float) is exact; ln rounds once
+    logs = {(i, j): Decimal(abs(g[i][j])).ln() for i, j in support}
+    normal = [[Decimal(0)] * (m + n) for _ in range(m + n)]
+    rhs = [Decimal(0)] * (m + n)
+    for (i, j), log in logs.items():
+        for a, b in ((i, m + j), (m + j, i)):
+            normal[a][a] += 1
+            normal[a][b] += 1
+            rhs[a] -= log
+    solution = _solve([[normal[a][b] for b in free] for a in free], [[rhs[a]] for a in free])
+    scale = [Decimal(0)] * (m + n)
+    for k, (value,) in zip(free, solution):
+        scale[k] = value
+    return logs, scale
 
 
 def _find(root, k):
@@ -121,3 +159,8 @@ def _find(root, k):
 def _product(a, b):
     """a @ b for lists of rows."""
     return [[sum(p * q for p, q in zip(row, column)) for column in zip(*b)] for row in a]
+
+
+def _transpose(a):
+    """a.T for a list of rows."""
+    return [list(column) for column in zip(*a)]

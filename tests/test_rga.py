@@ -23,7 +23,7 @@ from ucrga.rga import (
     scaling_invariance_residual,
 )
 
-from exact import exact_rga, exact_uc_rga
+from exact import exact_inverse, exact_rga, exact_uc_of_product, exact_uc_rga
 from golden import (
     COLUMN_FACTORS,
     EXACT_RGA_PLANT,
@@ -345,6 +345,64 @@ def test_uc_matches_the_exact_uc_rga_of_sparse_plants(g):
     largest = max(abs(x) for row in exact for x in row)
     expected = np.array([[float(x) for x in row] for row in exact])
     assert np.abs(rga_uc(g).rga - expected).max() <= 1e-9 * max(1.0, float(largest))
+
+
+@st.composite
+def factored_plants(draw):
+    """Integer factors a (m x r) and b (r x n), both of rank r, of a plant of
+    every shape from 2x2 to 6x6 and rank 1 to min(m, n) - 1; entries up to 9,
+    999 or 2**20, and on some plants about 30% of a zero."""
+    r = draw(st.integers(1, 5))
+    m, n = draw(st.integers(r + 1, 6)), draw(st.integers(r + 1, 6))
+    bound, zeros = draw(st.sampled_from((9, 999, 2**20))), draw(st.sampled_from((0.0, 0.3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(-bound, bound + 1, (m, r)) * (rng.random((m, r)) >= zeros)
+    b = rng.integers(-bound, bound + 1, (r, n))
+    # rank r exactly: each factor's integer Gram matrix is nonsingular
+    assume(all(exact_inverse((f.T @ f).tolist()) is not None for f in (a, b.T)))
+    return a.tolist(), b.tolist()
+
+
+def assert_matches_the_exact_uc_of_product(a, b):
+    """rga_uc and uc_inverse of g = a @ b against :func:`exact_uc_of_product`:
+    the RGA at 1e-9 of max(1, max|lambda|), the inverse at 1e-9 normwise."""
+    g = (np.array(a) @ np.array(b)).astype(float)
+    expected_rga, expected_inverse = (
+        np.array([[float(x) for x in row] for row in rows]) for rows in exact_uc_of_product(a, b, 60)
+    )
+    result = rga_uc(g)
+    assert result.numerical_rank == len(b)
+    tolerance = 1e-9 * max(1.0, np.abs(expected_rga).max())
+    assert np.abs(result.rga - expected_rga).max() <= tolerance
+    inverse_error = np.abs(uc_inverse(g) - expected_inverse).max()
+    assert inverse_error <= 1e-9 * np.abs(expected_inverse).max()
+    return g, expected_rga, tolerance
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(factored_plants(), st.integers(0, 2**32 - 1))
+def test_uc_matches_the_exact_uc_rga_and_inverse_of_singular_plants(factors, seed):
+    # the paper's own case, singular and rectangular plants, held to an exact
+    # result: the rank is that of the integer factors, not a float decision
+    g, expected, tolerance = assert_matches_the_exact_uc_of_product(*factors)
+    # power-of-two units, exact in float64, spanning 2**±500 on the rows and
+    # 2**±470 on the columns, so no entry of the copy leaves the normal range
+    rng = np.random.default_rng(seed)
+    m, n = g.shape
+    d, e = np.ldexp(1.0, rng.integers(-500, 501, m)), np.ldexp(1.0, rng.integers(-470, 471, n))
+    assert np.abs(rga_uc(d[:, None] * g * e).rga - expected).max() <= tolerance
+
+
+def test_uc_matches_the_exact_uc_of_a_rank_deficient_tridiagonal():
+    # an integer-factor twin of sparse_suite()'s rank-19 tridiagonal 20x20: a
+    # lower times an upper bidiagonal factor of width 19, entries 1 to 9 with
+    # random signs, so the rank is 19 exactly
+    rng = np.random.default_rng(19)
+    k = np.arange(19)
+    lower, upper = np.zeros((20, 19), dtype=int), np.zeros((19, 20), dtype=int)
+    for factor, rows, cols in ((lower, k, k), (lower, k + 1, k), (upper, k, k), (upper, k, k + 1)):
+        factor[rows, cols] = rng.integers(1, 10, 19) * rng.choice((-1, 1), 19)
+    assert_matches_the_exact_uc_of_product(lower.tolist(), upper.tolist())
 
 
 # ------------------------------------------------------------------ inverses
