@@ -1,6 +1,9 @@
 """Command line interface: compute, compare, and check relative gain arrays
 from CSV or JSON matrix files.
 
+Each route's result and checks become one report record (``_report``): the
+JSON output dumps it, and the table and the CSV render it.
+
 Exit codes: 0 success, 1 input/parse failure (usage errors included) or an
 output the reader closed early, 2 strict method on a singular input (check's
 copies meet no rank gate), 3 property-check failure.
@@ -135,11 +138,12 @@ def _draws(seed: int, m: int, n: int) -> tuple[tuple[list, list], list, list]:
     return tuple(sorted(range(len(k)), key=k.__getitem__) for k in keys), d, e
 
 
-def _report_dict(result: RgaResult, checks: tuple[Check, ...]) -> dict:
-    m, n = result.rga.shape
+def _report(result: RgaResult, checks: tuple[Check, ...]) -> dict:
+    """The report record of one route: JSON dumps it, and the table and CSV
+    render it; nothing else here reads a result or a check for output."""
     return {
         "method": result.method,
-        "shape": [m, n],
+        "shape": list(result.rga.shape),
         "rank": result.numerical_rank,
         "rga": matrix_to_json(result.rga),
         "row_sums": result.row_sums.tolist(),
@@ -158,41 +162,42 @@ def _format_matrix(a: np.ndarray, digits: int) -> str:
 
 
 def _format_vector(v, digits: int) -> str:
-    return " ".join(f"{float(x):.{digits}f}" for x in v)
+    return " ".join(f"{x:.{digits}f}" for x in v)
 
 
-def _print_report(result: RgaResult, checks: tuple[Check, ...], digits: int) -> None:
-    m, n = result.rga.shape
-    print(f"method: {result.method}")
+def _print_report(report: dict, digits: int) -> None:
+    m, n = report["shape"]
+    print(f"method: {report['method']}")
     print(f"shape: {m}x{n}")
-    print(f"rank: {result.numerical_rank}")
-    print(f"balancer converged: {'yes' if result.balancer_converged else 'no'}")
+    print(f"rank: {report['rank']}")
+    print(f"balancer converged: {'yes' if report['balancer_converged'] else 'no'}")
     print("rga:")
-    print(_format_matrix(result.rga, digits))
-    print(f"row sums: {_format_vector(result.row_sums, digits)}")
-    print(f"col sums: {_format_vector(result.col_sums, digits)}")
-    print(f"element sum: {result.element_sum:.{digits}f}")
-    for c in checks:
-        status = "pass" if c.passed else "FAIL"
-        note = " (informational)" if c.informational else ""
-        print(f"check {c.name}: {c.value:.3e} <= {c.threshold:.0e} {status}{note}")
+    print(_format_matrix(matrix_from_json(report["rga"]), digits))
+    print(f"row sums: {_format_vector(report['row_sums'], digits)}")
+    print(f"col sums: {_format_vector(report['col_sums'], digits)}")
+    print(f"element sum: {report['element_sum']:.{digits}f}")
+    for c in report["checks"]:
+        status = "pass" if c["passed"] else "FAIL"
+        note = " (informational)" if c["informational"] else ""
+        print(f"check {c['name']}: {c['value']:.3e} <= {c['threshold']:.0e} {status}{note}")
 
 
-def _emit_reports(pairs: list[tuple[RgaResult, tuple[Check, ...]]], args) -> None:
+def _emit_reports(reports: list[dict], args) -> None:
+    """Render report records in the --output format: one JSON object or a
+    list, CSV blocks headed by their method when there are several, or tables."""
     if args.output == "json":
-        dicts = [_report_dict(r, c) for r, c in pairs]
-        print(json.dumps(dicts[0] if len(dicts) == 1 else dicts, indent=2))
+        print(json.dumps(reports[0] if len(reports) == 1 else reports, indent=2))
     elif args.output == "csv":
         blocks = []
-        for result, _ in pairs:
-            prefix = f"# method={result.method}\n" if len(pairs) > 1 else ""
-            blocks.append(prefix + format_csv(result.rga))
+        for report in reports:
+            prefix = f"# method={report['method']}\n" if len(reports) > 1 else ""
+            blocks.append(prefix + format_csv(matrix_from_json(report["rga"])))
         print("\n".join(blocks), end="")
     else:
-        for i, (result, checks) in enumerate(pairs):
+        for i, report in enumerate(reports):
             if i:
                 print()
-            _print_report(result, checks, args.digits)
+            _print_report(report, args.digits)
 
 
 def _results(g: np.ndarray, args) -> dict[str, RgaResult]:
@@ -210,57 +215,51 @@ def _results(g: np.ndarray, args) -> dict[str, RgaResult]:
 
 def _cmd_compute(args) -> int:
     g = _load_matrix(args.input)
-    pairs = [(result, rga_summary(result).checks) for result in _results(g, args).values()]
-    _emit_reports(pairs, args)
+    _emit_reports([_report(r, rga_summary(r).checks) for r in _results(g, args).values()], args)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
     g = _load_matrix(args.input)
-    m, n = g.shape
     results = rga_routes(g, ("mp", "uc"))
-    difference = float(np.abs(results["mp"].rga - results["uc"].rga).max())
-    _, d, e = _draws(args.seed, m, n)
-    residual = scaling_invariance_residual(g, results, d, e)
-    pairs = [(r, rga_summary(r).checks) for r in results.values()]
+    _, d, e = _draws(args.seed, *g.shape)
+    document = {method: _report(r, rga_summary(r).checks) for method, r in results.items()}
+    mp, uc = (document[method]["rga"]["data"] for method in ("mp", "uc"))
+    document["max_abs_difference"] = max(abs(x - y) for x, y in zip(mp, uc))
+    document["scaling_invariance_residual"] = scaling_invariance_residual(g, results, d, e)
+    document["seed"] = args.seed
 
     if args.output == "json":
-        report = {
-            "mp": _report_dict(*pairs[0]),
-            "uc": _report_dict(*pairs[1]),
-            "max_abs_difference": difference,
-            "scaling_invariance_residual": residual,
-            "seed": args.seed,
-        }
-        print(json.dumps(report, indent=2))
+        print(json.dumps(document, indent=2))
         return EXIT_OK
-    _emit_reports(pairs, args)
+    _emit_reports([document["mp"], document["uc"]], args)
     if args.output == "table":
         print()
-        print(f"max abs difference (mp vs uc): {difference:.{args.digits}f}")
-        for method, value in residual.items():
-            print(f"scaling invariance residual {method}: {value:.3e} (seed {args.seed})")
+        print(f"max abs difference (mp vs uc): {document['max_abs_difference']:.{args.digits}f}")
+        for method, value in document["scaling_invariance_residual"].items():
+            print(f"scaling invariance residual {method}: {value:.3e} (seed {document['seed']})")
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     g = _load_matrix(args.input)
-    m, n = g.shape
     base = _results(g, args)
     # one draw per check, shared by every route, so a route's verdict does
     # not depend on which other routes ran
-    orders, d, e = _draws(args.seed, m, n)
-    reports = property_reports(g, base, orders, d, e)
+    orders, d, e = _draws(args.seed, *g.shape)
+    properties = property_reports(g, base, orders, d, e)
+    reports = [_report(base[method], p.checks) for method, p in properties.items()]
     if args.output == "csv":
         lines = ["name,value,threshold,passed,informational"] + [
-            f"{method}:{c.name},{c.value!r},{c.threshold!r},{c.passed},{c.informational}"
-            for method, report in reports.items()
-            for c in report.checks
+            f"{r['method']}:{c['name']},{c['value']!r},{c['threshold']!r},"
+            f"{c['passed']},{c['informational']}"
+            for r in reports
+            for c in r["checks"]
         ]
         print("\n".join(lines))
     else:
-        _emit_reports([(base[method], report.checks) for method, report in reports.items()], args)
-    return EXIT_OK if all(r.all_passed for r in reports.values()) else EXIT_PROPERTY
+        _emit_reports(reports, args)
+    return EXIT_OK if all(p.all_passed for p in properties.values()) else EXIT_PROPERTY
 
 
 def main(argv=None) -> int:

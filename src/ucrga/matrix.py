@@ -165,8 +165,9 @@ def _is_json_number(value, kinds) -> bool:
 
 
 def permute(a, row_order, col_order) -> np.ndarray:
-    """Reindex: result[i, j] = a[row_order[i], col_order[j]]."""
-    a = np.asarray(a, dtype=float)
+    """Reindex: result[i, j] = a[row_order[i], col_order[j]], with ``a``
+    validated by :func:`as_matrix`."""
+    a = as_matrix(a)
     row_order = as_permutation(row_order, a.shape[0])
     col_order = as_permutation(col_order, a.shape[1])
     return a[np.ix_(row_order, col_order)]

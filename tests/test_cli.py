@@ -26,7 +26,7 @@ import ucrga.rga as rga_module
 from ucrga import cli
 from ucrga.cli import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_SINGULAR, main
 from ucrga.matrix import format_csv, matrix_from_json, parse_csv
-from ucrga.rga import SingularMatrixError, property_reports, rga_mp, rga_strict, rga_uc
+from ucrga.rga import SingularMatrixError, property_reports, rga_mp, rga_routes, rga_strict, rga_uc
 
 from golden import EXACT_RGA_PLANT, MP_RGA_SCALED_ONES3, ONES3, PLANT, UNCONVERGED_BIDIAGONAL
 from suites import sparse_suite
@@ -73,12 +73,33 @@ def test_compute_json_round_trips_losslessly(capsys):
     assert np.array_equal(matrix_from_json(report["rga"]), in_memory.rga)
 
 
-def test_compute_csv_round_trips_exactly(capsys):
-    code = main(["compute", "--input", STACKED_CSV, "--output", "csv"])
-    assert code == EXIT_OK
+@pytest.mark.parametrize(
+    "command", [["compute"], ["compute", "--method", "all"], ["compare"]], ids=" ".join
+)
+@pytest.mark.parametrize("fixture", sorted(FIXTURES.iterdir()), ids=lambda path: path.name)
+def test_compute_csv_round_trips_exactly(capsys, fixture, command):
+    # every CSV block, split on its "# method=" header, holds the bits of the
+    # JSON report's rga and of the route run in memory
+    argv = [*command, "--input", str(fixture)]
+    code = main([*argv, "--output", "csv"])
     out = capsys.readouterr().out
-    in_memory = rga_uc(parse_csv(Path(STACKED_CSV).read_text()))
-    assert np.array_equal(parse_csv(out), in_memory.rga)
+    json_code, printed = run_json(capsys, [*argv, "--output", "json"])
+    assert code == json_code == EXIT_OK
+    if command == ["compare"]:
+        printed = [printed["mp"], printed["uc"]]
+    reports = printed if isinstance(printed, list) else [printed]
+    head, *parts = re.split(r"^# method=(\w+)\n", out, flags=re.M)
+    if parts:
+        assert head == ""
+        blocks = dict(zip(parts[::2], parts[1::2]))
+    else:
+        blocks = {reports[0]["method"]: head}
+    assert list(blocks) == [r["method"] for r in reports]
+    in_memory = rga_routes(cli._load_matrix(str(fixture)), list(blocks))
+    for report in reports:
+        exact = [matrix_from_json(report["rga"]), in_memory[report["method"]].rga]
+        parsed = parse_csv(blocks[report["method"]])
+        assert all((parsed.shape, parsed.tobytes()) == (a.shape, a.tobytes()) for a in exact)
 
 
 def test_compute_table_respects_digits(capsys):

@@ -2,6 +2,7 @@
 package in this checkout."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +17,11 @@ def test_demos_are_present():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo):
+def _run(*args: str) -> subprocess.CompletedProcess:
+    """Run Python on ``args`` against the package in this checkout; it must exit 0."""
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, *args],
         cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=pythonpath),
         capture_output=True,
@@ -29,4 +30,16 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stdout
+    return proc
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    assert _run(str(demo)).stdout
+
+
+def test_readme_library_quickstart_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    # the block's last line promises this verdict in its comment
+    assert _run("-c", block).stdout.splitlines()[-1] == "{'mp': False, 'uc': True}"

@@ -198,6 +198,16 @@ def test_permute_examples():
     np.testing.assert_array_equal(permute(a, [1, 0], [0, 1]), [[3.0, 4.0], [1.0, 2.0]])
 
 
+@pytest.mark.parametrize(
+    "a, row_order, col_order",
+    [(np.ones(3), [0, 1, 2], [0]), (np.ones((2, 2, 2)), [0, 1], [0, 1])],
+    ids=["1-D", "3-D"],
+)
+def test_permute_refuses_a_non_matrix(a, row_order, col_order):
+    with pytest.raises(DimensionError, match="expected a 2-D matrix"):
+        permute(a, row_order, col_order)
+
+
 # ---------------------------------------------------------------- properties
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
