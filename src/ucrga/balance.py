@@ -23,7 +23,7 @@ magnitudes spanning hundreds of orders of magnitude are just moderate-sized
 logs, and exp is applied once at the end.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ LN2 = np.log(2.0)
 LOG_MAX = np.log(np.finfo(float).max)
 
 
-@dataclass(frozen=True)
-class ScalingDecomposition:
+class ScalingDecomposition(NamedTuple):
     """Result of :func:`balance`.
 
     ``left_log`` and ``right_log`` are the logs of the row/column scale

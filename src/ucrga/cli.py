@@ -10,13 +10,11 @@ copies meet no rank gate), 3 property-check failure.
 """
 
 import argparse
-import gc
 import json
 import math
 import os
 import random
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -150,7 +148,7 @@ def _report(result: RgaResult, checks: tuple[Check, ...]) -> dict:
         "col_sums": result.col_sums.tolist(),
         "element_sum": float(result.element_sum),
         "balancer_converged": bool(result.balancer_converged),
-        "checks": [asdict(c) for c in checks],
+        "checks": [c._asdict() for c in checks],
     }
 
 
@@ -279,22 +277,33 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError as exc:
-        # the reader closed stdout: what is still buffered goes to devnull, so
-        # the interpreter's own flush at exit does not fail a second time
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: output closed early: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _output_closed(exc)
+
+
+def _output_closed(exc: BrokenPipeError) -> int:
+    """Report that the reader closed stdout, and send what is still buffered
+    there to devnull, so that a later flush does not fail a second time."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    print(f"error: output closed early: {exc}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 def run() -> None:
-    """The process entry point of ``python -m ucrga`` and the ``ucrga`` script."""
-    # the collections at interpreter exit would walk every object the imports
-    # built, and frozen objects are skipped; main never freezes, since a
-    # cycle made before a freeze is never collected in a caller's process
-    gc.freeze()
-    raise SystemExit(main())
+    """The process entry point of ``python -m ucrga`` and the ``ucrga`` script.
+
+    It flushes the output itself, so that a reader gone before the flush ends
+    in exit 1 like any closed output, then ends the process without the
+    interpreter's teardown, which would only free the memory of a process
+    that is about to exit."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        code = _output_closed(exc)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ The generalized inverses themselves come with the RGA they form: every
 :func:`~ucrga.rga.rga_mp` and :func:`~ucrga.rga.rga_uc`.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ def relative_change(new: np.ndarray, base: np.ndarray) -> float:
     return float(np.abs(new - base).max() / max(np.abs(base).max(), TINY))
 
 
-@dataclass(frozen=True)
-class GiResiduals:
+class GiResiduals(NamedTuple):
     """Relative residuals of the two defining generalized-inverse identities."""
 
     residual_axa: float

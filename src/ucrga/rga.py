@@ -31,7 +31,7 @@ to 1. :func:`rga_summary` packages those checks per matrix,
 under a diagonal rescaling, and :func:`property_reports` runs the whole suite.
 """
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ class SingularMatrixError(ValueError):
     """Raised when the strict RGA is requested for a numerically singular matrix."""
 
 
-@dataclass(frozen=True)
-class RgaResult:
+class RgaResult(NamedTuple):
     """An RGA matrix with the summary statistics used by the property checks.
 
     ``numerical_rank`` is the rank actually used to form the inverse: the
@@ -103,20 +102,24 @@ class RgaResult:
     @property
     def inverse(self) -> np.ndarray:
         """The generalized inverse the RGA was formed from, formed on each read:
-        pinv(g) for the Moore-Penrose route, E @ pinv(core) @ D otherwise."""
-        x_pinv = np.ldexp(self.x_pinv, -self.exponent)
-        if (dec := self.decomposition) is None:
-            return x_pinv
-        logs = dec.right_log[:, None] + dec.left_log[None, :]
-        # where exp(logs) would leave float64's normal range, 2**p, p a
-        # multiple of 1000, is taken out of it and put back exactly by ldexp
-        inside = (logs > np.log(np.finfo(float).tiny)) & (logs < LOG_MAX)
-        p = np.where(inside, 0, 1000 * np.round(logs / (1000 * LN2)).astype(int))
-        return np.ldexp(x_pinv * np.exp(logs - p * LN2), p)
+        pinv(g) for the Moore-Penrose route, E @ pinv(core) @ D otherwise.
+
+        An all-zero row (column) of g gives an exactly zero column (row) of
+        both; the SVD leaves rounding noise there, so those lines are zeroed."""
+        inverse = np.ldexp(self.x_pinv, -self.exponent)
+        if (dec := self.decomposition) is not None:
+            logs = dec.right_log[:, None] + dec.left_log[None, :]
+            # where exp(logs) would leave float64's normal range, 2**p, p a
+            # multiple of 1000, is taken out of it and put back exactly by ldexp
+            inside = (logs > np.log(np.finfo(float).tiny)) & (logs < LOG_MAX)
+            p = np.where(inside, 0, 1000 * np.round(logs / (1000 * LN2)).astype(int))
+            inverse = np.ldexp(inverse * np.exp(logs - p * LN2), p)
+        inverse[:, ~self.x.any(axis=1)] = 0.0
+        inverse[~self.x.any(axis=0)] = 0.0
+        return inverse
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named residual compared against its threshold."""
 
     name: str
@@ -126,8 +129,7 @@ class Check:
     informational: bool
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     checks: tuple[Check, ...]
 
     @property
@@ -234,7 +236,7 @@ def strict_from_uc(result: RgaResult) -> RgaResult:
             f"matrix is numerically singular (rank {result.numerical_rank} of {n}); "
             "use rga_mp or rga_uc instead"
         )
-    return replace(result, method="strict")
+    return result._replace(method="strict")
 
 
 def rga_routes(g, methods) -> dict[str, RgaResult]:

@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import gc
 import importlib
 import io
 import json
@@ -14,7 +13,6 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -496,7 +494,7 @@ def test_check_prints_property_reports_on_its_own_draws(capsys, fixture, method)
     printed = json.loads(out)
     printed = printed if isinstance(printed, list) else [printed]
     assert [(r["method"], r["checks"]) for r in printed] == [
-        (route, [asdict(c) for c in report.checks]) for route, report in reports.items()
+        (route, [c._asdict() for c in report.checks]) for route, report in reports.items()
     ]
     passed = all(report.all_passed for report in reports.values())
     assert code == (EXIT_OK if passed else EXIT_PROPERTY)
@@ -796,6 +794,50 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "--input", PLANT_CSV], ["check", "--input", PLANT_CSV, "--output", "json"]],
+)
+def test_closed_stdout_exits_1_when_the_buffered_report_is_flushed(argv):
+    # a small report stays in stdout's buffer until the process flushes it;
+    # that flush once came at interpreter exit, outside main's handler, and
+    # exited 120 with "Exception ignored". PYTHONUNBUFFERED would write it
+    # inside main, so it is dropped
+    env = {k: v for k, v in python_env().items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ucrga", *argv],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith("error: output closed early:")
+    assert proc.stderr.count("\n") == 1 and "Exception ignored" not in proc.stderr
+
+
+def test_importing_the_cli_loads_no_dataclasses_beyond_numpys():
+    # the result records are NamedTuples, so a process does not pay for
+    # dataclasses' code generation; measured against what numpy loads, so a
+    # numpy that imports dataclasses itself leaves this test valid
+    code = """
+import sys, numpy
+print('dataclasses' in sys.modules)
+import ucrga.cli
+print('dataclasses' in sys.modules)
+"""
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    with_numpy, with_cli = proc.stdout.split()
+    assert with_cli == with_numpy
+
+
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # compare and check draw from the standard library's random, so no
     # command pays for numpy.random: neither the import nor a run loads it
@@ -824,26 +866,33 @@ for command in ("check", "compare"):
     ],
 )
 def test_module_entry_point_exits_as_main_returns(capsys, argv, expected):
-    # python -m ucrga freezes the import heap before main runs, and that
-    # changes no exit code, output or error line
+    # python -m ucrga flushes its own output and exits without the
+    # interpreter's teardown, and that changes no exit code, output or error line
     proc = run_python(["-m", "ucrga", *argv])
     assert main(argv) == expected
     out, err = capsys.readouterr()
     assert (proc.returncode, proc.stdout, proc.stderr) == (expected, out, err)
 
 
-def test_only_the_process_entry_point_freezes_the_heap(monkeypatch, capsys):
-    # a cycle made before a freeze is never collected, so main, which callers
-    # run in their own process, leaves the collector as it found it
-    before = gc.get_freeze_count()
-    assert main(["check", "--input", PLANT_CSV]) == EXIT_OK
-    assert gc.get_freeze_count() == before
-    frozen = []
-    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(len(frozen)))
-    monkeypatch.setattr(sys, "argv", ["ucrga", "check", "--input", ONES_CSV, "--method", "mp"])
-    with pytest.raises(SystemExit) as exit_info:
+def test_the_process_entry_point_flushes_before_it_exits(monkeypatch, capsys):
+    # run ends the process by os._exit, which flushes nothing, so what main
+    # printed must have left stdout's buffer by then
+    argv = ["check", "--input", ONES_CSV, "--method", "mp"]
+    assert main(argv) == EXIT_PROPERTY
+    expected = capsys.readouterr().out
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
+    monkeypatch.setattr(sys, "argv", ["ucrga", *argv])
+    exits = []
+
+    def record_exit(code):
+        exits.append((code, raw.getvalue().decode()))
+        raise SystemExit(code)
+
+    monkeypatch.setattr(os, "_exit", record_exit)
+    with pytest.raises(SystemExit):
         cli.run()
-    assert (exit_info.value.code, frozen) == (EXIT_PROPERTY, [0])
+    assert exits == [(EXIT_PROPERTY, expected)]
 
 
 def test_check_all_gives_each_route_its_single_route_verdict(tmp_path, capsys):
@@ -898,7 +947,7 @@ def test_check_identities_catch_a_perturbed_inverse(monkeypatch, tmp_path, capsy
             def perturb(result):
                 x_pinv = result.x_pinv.copy()
                 x_pinv[i, j] *= 1.0 + 1e-6
-                return replace(result, x_pinv=x_pinv)
+                return result._replace(x_pinv=x_pinv)
 
             def perturbed(*args, **kwargs):
                 return {m: perturb(r) for m, r in compute(*args, **kwargs).items()}
