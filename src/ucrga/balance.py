@@ -125,11 +125,7 @@ def balance(a) -> ScalingDecomposition:
 
     left_log = np.zeros(m)
     right_log = np.zeros(n)
-    iterations = 0
-    shift = 0.0
-    converged = False
-    while iterations < MAX_SWEEPS:
-        iterations += 1
+    for iterations in range(1, MAX_SWEEPS + 1):
         col_means = np.bincount(c_idx, vals, n) / col_counts
         vals -= col_means[c_idx]
         right_log -= col_means
@@ -141,7 +137,6 @@ def balance(a) -> ScalingDecomposition:
         shift += float(np.abs(row_means).sum()) / nonempty_rows
 
         if shift <= BALANCE_TOL:
-            converged = True
             break
 
     _fit_float_range(vals, left_log)
@@ -151,7 +146,7 @@ def balance(a) -> ScalingDecomposition:
         left_log=left_log,
         right_log=right_log,
         core=core,
-        converged=converged,
+        converged=shift <= BALANCE_TOL,
         iterations=iterations,
         final_shift=shift,
     )

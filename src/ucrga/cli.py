@@ -5,8 +5,9 @@ Each route's result and checks become one report record (``_report``): the
 JSON output dumps it, and the table and the CSV render it.
 
 Exit codes: 0 success, 1 input/parse failure (usage errors included) or an
-output the reader closed early, 2 strict method on a singular input (check's
-copies meet no rank gate), 3 property-check failure.
+output that cannot be written (a closed pipe, a full disk), 2 strict method
+on a singular input (check's copies meet no rank gate), 3 property-check
+failure.
 """
 
 import argparse
@@ -170,7 +171,7 @@ def _print_report(report: dict, digits: int) -> None:
     print(f"rank: {report['rank']}")
     print(f"balancer converged: {'yes' if report['balancer_converged'] else 'no'}")
     print("rga:")
-    print(_format_matrix(matrix_from_json(report["rga"]), digits))
+    print(_format_matrix(np.reshape(report["rga"]["data"], report["shape"]), digits))
     print(f"row sums: {_format_vector(report['row_sums'], digits)}")
     print(f"col sums: {_format_vector(report['col_sums'], digits)}")
     print(f"element sum: {report['element_sum']:.{digits}f}")
@@ -189,7 +190,7 @@ def _emit_reports(reports: list[dict], args) -> None:
         blocks = []
         for report in reports:
             prefix = f"# method={report['method']}\n" if len(reports) > 1 else ""
-            blocks.append(prefix + format_csv(matrix_from_json(report["rga"])))
+            blocks.append(prefix + format_csv(np.reshape(report["rga"]["data"], report["shape"])))
         print("\n".join(blocks), end="")
     else:
         for i, report in enumerate(reports):
@@ -261,47 +262,42 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command and flush its output; every failure becomes an exit
+    code here. A failed read is a MatrixFormatError by the time it leaves
+    ``_load_matrix``, so an OSError that reaches the outer handler comes from
+    writing stdout: a closed pipe or a full disk. What is still buffered there
+    goes to devnull, so that a later flush does not fail a second time."""
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on a usage error, the code of a singular strict input
-        return EXIT_INPUT if exc.code else EXIT_OK
-    try:
-        return args.handler(args)
-    except SingularMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: rerun with --method uc (or mp) for singular input", file=sys.stderr)
-        return EXIT_SINGULAR
-    except ValueError as exc:
-        # MatrixFormatError, DimensionError and numpy's LinAlgError are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            args = _build_parser().parse_args(argv)
+            code = args.handler(args)
+        except SystemExit as exc:
+            # argparse exits 2 on a usage error, the code of a singular strict input
+            code = EXIT_INPUT if exc.code else EXIT_OK
+        except SingularMatrixError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            print("hint: rerun with --method uc (or mp) for singular input", file=sys.stderr)
+            code = EXIT_SINGULAR
+        except ValueError as exc:
+            # MatrixFormatError, DimensionError and numpy's LinAlgError are ValueErrors
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_INPUT
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except BrokenPipeError as exc:
-        return _output_closed(exc)
-
-
-def _output_closed(exc: BrokenPipeError) -> int:
-    """Report that the reader closed stdout, and send what is still buffered
-    there to devnull, so that a later flush does not fail a second time."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
-    print(f"error: output closed early: {exc}", file=sys.stderr)
-    return EXIT_INPUT
+    return code
 
 
 def run() -> None:
-    """The process entry point of ``python -m ucrga`` and the ``ucrga`` script.
-
-    It flushes the output itself, so that a reader gone before the flush ends
-    in exit 1 like any closed output, then ends the process without the
+    """The process entry point of ``python -m ucrga`` and the ``ucrga`` script:
+    ``main`` has flushed the output, so the process ends without the
     interpreter's teardown, which would only free the memory of a process
     that is about to exit."""
     code = main()
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError as exc:
-        code = _output_closed(exc)
     sys.stderr.flush()
     os._exit(code)
 

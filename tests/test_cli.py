@@ -794,32 +794,50 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+@pytest.mark.parametrize("target", ["closed-pipe", "dev-full"])
 @pytest.mark.parametrize(
-    "argv",
-    [["compute", "--input", PLANT_CSV], ["check", "--input", PLANT_CSV, "--output", "json"]],
+    "argv, unbuffered",
+    [
+        (["compute", "--input", PLANT_CSV], False),
+        (["compute", "--input", PLANT_CSV], True),
+        (["check", "--input", PLANT_CSV, "--output", "json"], False),
+        (["check", "--input", PLANT_CSV, "--output", "json"], True),
+        # argparse drops a failed write of its help itself, so only a
+        # buffered help reaches main's flush
+        (["--help"], False),
+    ],
+    ids=["compute", "compute-unbuffered", "check", "check-unbuffered", "help"],
 )
-def test_closed_stdout_exits_1_when_the_buffered_report_is_flushed(argv):
-    # a small report stays in stdout's buffer until the process flushes it;
-    # that flush once came at interpreter exit, outside main's handler, and
-    # exited 120 with "Exception ignored". PYTHONUNBUFFERED would write it
-    # inside main, so it is dropped
+def test_closed_stdout_exits_1_when_the_buffered_report_is_flushed(argv, unbuffered, target):
+    # a small report stays in stdout's buffer until main flushes it; that
+    # flush once came at interpreter exit, outside main's handler, and exited
+    # 120 with "Exception ignored". Unbuffered, the write fails at print
+    # instead. A closed pipe and a full disk both end in exit 1
+    if target == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
     env = {k: v for k, v in python_env().items() if k != "PYTHONUNBUFFERED"}
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if target == "closed-pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        stdout = os.open("/dev/full", os.O_WRONLY)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "ucrga", *argv],
             env=env,
-            stdout=write_end,
+            stdout=stdout,
             stderr=subprocess.PIPE,
             text=True,
             timeout=60,
         )
     finally:
-        os.close(write_end)
+        os.close(stdout)
     assert proc.returncode == EXIT_INPUT
-    assert proc.stderr.startswith("error: output closed early:")
-    assert proc.stderr.count("\n") == 1 and "Exception ignored" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write output:")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_importing_the_cli_loads_no_dataclasses_beyond_numpys():

@@ -304,6 +304,37 @@ def test_uc_matches_the_exact_uc_rga_of_dense_plants(case):
     assert np.abs(result.rga - expected).max() <= 1e-9 * max(1.0, float(largest))
 
 
+@st.composite
+def sparse_rectangular_plants(draw):
+    """Gaussian plants of every shape up to 6x6, each entry kept with a
+    per-plant probability (the support density) uniform in [0.3, 1] and
+    scaled by 10**u, u uniform within a per-plant spread of up to 4; also
+    that spread."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    density, spread = draw(st.floats(0.3, 1.0)), draw(st.floats(0.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-spread, spread, (m, n))
+    g[rng.random((m, n)) >= density] = 0.0
+    return g, spread
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(sparse_rectangular_plants())
+def test_uc_matches_the_exact_uc_rga_of_sparse_rectangular_plants(case):
+    # the oracle's pinv needs full rank, and the sweep, not the closed form,
+    # balances every plant with a zero
+    g, spread = case
+    assume(np.linalg.matrix_rank(g) == min(g.shape))
+    exact = exact_uc_rga(g.tolist(), 60 + math.ceil(4 * spread))
+    assume(exact is not None)
+    largest = max(abs(x) for row in exact for x in row)
+    result = rga_uc(g)
+    assert result.balancer_converged
+    assert result.numerical_rank == min(g.shape)
+    expected = np.array([[float(x) for x in row] for row in exact])
+    assert np.abs(result.rga - expected).max() <= 1e-9 * max(1.0, float(largest))
+
+
 def wide_range_staircase_40x41():
     """Staircase 40x41, its diagonal and then its superdiagonal drawn from
     default_rng(0) as 10 ** U(-4, 4) with random signs."""
