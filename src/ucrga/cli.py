@@ -11,6 +11,8 @@ failure.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -208,18 +210,16 @@ def _results(g: np.ndarray, args) -> dict[str, RgaResult]:
     try:
         return {"strict": strict_from_uc(results["uc"]), **results}
     except (DimensionError, SingularMatrixError) as exc:
-        print(f"warning: strict RGA skipped: {exc}", file=sys.stderr)
+        _warn(f"warning: strict RGA skipped: {exc}")
         return results
 
 
-def _cmd_compute(args) -> int:
-    g = _load_matrix(args.input)
+def _cmd_compute(g: np.ndarray, args) -> int:
     _emit_reports([_report(r, rga_summary(r).checks) for r in _results(g, args).values()], args)
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    g = _load_matrix(args.input)
+def _cmd_compare(g: np.ndarray, args) -> int:
     results = rga_routes(g, ("mp", "uc"))
     _, d, e = _draws(args.seed, *g.shape)
     document = {method: _report(r, rga_summary(r).checks) for method, r in results.items()}
@@ -227,11 +227,7 @@ def _cmd_compare(args) -> int:
     document["max_abs_difference"] = max(abs(x - y) for x, y in zip(mp, uc))
     document["scaling_invariance_residual"] = scaling_invariance_residual(g, results, d, e)
     document["seed"] = args.seed
-
-    if args.output == "json":
-        print(json.dumps(document, indent=2))
-        return EXIT_OK
-    _emit_reports([document["mp"], document["uc"]], args)
+    _emit_reports([document] if args.output == "json" else [document["mp"], document["uc"]], args)
     if args.output == "table":
         print()
         print(f"max abs difference (mp vs uc): {document['max_abs_difference']:.{args.digits}f}")
@@ -240,8 +236,7 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    g = _load_matrix(args.input)
+def _cmd_check(g: np.ndarray, args) -> int:
     base = _results(g, args)
     # one draw per check, shared by every route, so a route's verdict does
     # not depend on which other routes ran
@@ -261,33 +256,41 @@ def _cmd_check(args) -> int:
     return EXIT_OK if all(p.all_passed for p in properties.values()) else EXIT_PROPERTY
 
 
+def _warn(line: str) -> None:
+    """Write one line to stderr; a line stderr cannot take is lost and changes no exit code."""
+    with contextlib.suppress(OSError):
+        print(line, file=sys.stderr, flush=True)
+
+
 def main(argv=None) -> int:
-    """Run one command and flush its output; every failure becomes an exit
-    code here. A failed read is a MatrixFormatError by the time it leaves
-    ``_load_matrix``, so an OSError that reaches the outer handler comes from
-    writing stdout: a closed pipe or a full disk. What is still buffered there
-    goes to devnull, so that a later flush does not fail a second time."""
+    """Load the input, run one command and flush its output, help included;
+    every failure becomes an exit code here. A failed read is a
+    MatrixFormatError by the time it leaves ``_load_matrix``, so an OSError
+    that reaches the outer handler comes from writing stdout: a closed pipe or
+    a full disk. What is still buffered there goes to devnull, so that a later
+    flush does not fail a second time."""
     try:
         try:
-            args = _build_parser().parse_args(argv)
-            code = args.handler(args)
+            with contextlib.redirect_stdout(io.StringIO()) as help_text:
+                args = _build_parser().parse_args(argv)
+            code = args.handler(_load_matrix(args.input), args)
         except SystemExit as exc:
             # argparse exits 2 on a usage error, the code of a singular strict input
+            print(help_text.getvalue(), end="")
             code = EXIT_INPUT if exc.code else EXIT_OK
         except SingularMatrixError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print("hint: rerun with --method uc (or mp) for singular input", file=sys.stderr)
+            _warn(f"error: {exc}\nhint: rerun with --method uc (or mp) for singular input")
             code = EXIT_SINGULAR
         except ValueError as exc:
             # MatrixFormatError, DimensionError and numpy's LinAlgError are ValueErrors
-            print(f"error: {exc}", file=sys.stderr)
+            _warn(f"error: {exc}")
             code = EXIT_INPUT
         sys.stdout.flush()
     except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _warn(f"error: cannot write output: {exc}")
         return EXIT_INPUT
     return code
 
@@ -297,9 +300,7 @@ def run() -> None:
     ``main`` has flushed the output, so the process ends without the
     interpreter's teardown, which would only free the memory of a process
     that is about to exit."""
-    code = main()
-    sys.stderr.flush()
-    os._exit(code)
+    os._exit(main())
 
 
 if __name__ == "__main__":

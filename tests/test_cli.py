@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import importlib
 import io
 import json
@@ -763,6 +764,26 @@ def python_env():
     return dict(os.environ, PYTHONPATH=pythonpath)
 
 
+def buffering_env(unbuffered):
+    """python_env() with PYTHONUNBUFFERED set or unset, whatever this process has."""
+    env = {k: v for k, v in python_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def unwritable(target):
+    """A write-only descriptor whose every write fails: a pipe whose reader
+    has closed its end, or /dev/full."""
+    if target == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    if target == "dev-full":
+        return os.open("/dev/full", os.O_WRONLY)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
 def run_python(args):
     return subprocess.run(
         [sys.executable, *args], env=python_env(), capture_output=True, text=True
@@ -776,14 +797,19 @@ def test_module_entry_point():
     assert report["method"] == "uc"
 
 
-def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, unbuffered):
     # the report (about 180 KB) outgrows the pipe buffer, so the write fails
-    # once the reader has closed its end
+    # once the reader has closed its end. Unbuffered, a write the pipe takes
+    # only part of is not retried, so the report must not go out in one write
     path = tmp_path / "plant.csv"
     path.write_text(format_csv(np.random.default_rng(3).standard_normal((80, 80))))
     argv = ["-m", "ucrga", "compute", "--input", str(path), "--output", "json"]
     proc = subprocess.Popen(
-        [sys.executable, *argv], env=python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        [sys.executable, *argv],
+        env=buffering_env(unbuffered),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
     )
     proc.stdout.read(1)
     proc.stdout.close()
@@ -802,31 +828,21 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
         (["compute", "--input", PLANT_CSV], True),
         (["check", "--input", PLANT_CSV, "--output", "json"], False),
         (["check", "--input", PLANT_CSV, "--output", "json"], True),
-        # argparse drops a failed write of its help itself, so only a
-        # buffered help reaches main's flush
         (["--help"], False),
+        (["--help"], True),
     ],
-    ids=["compute", "compute-unbuffered", "check", "check-unbuffered", "help"],
+    ids=["compute", "compute-unbuffered", "check", "check-unbuffered", "help", "help-unbuffered"],
 )
 def test_closed_stdout_exits_1_when_the_buffered_report_is_flushed(argv, unbuffered, target):
     # a small report stays in stdout's buffer until main flushes it; that
     # flush once came at interpreter exit, outside main's handler, and exited
     # 120 with "Exception ignored". Unbuffered, the write fails at print
     # instead. A closed pipe and a full disk both end in exit 1
-    if target == "dev-full" and not os.path.exists("/dev/full"):
-        pytest.skip("no /dev/full on this system")
-    env = {k: v for k, v in python_env().items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    if target == "closed-pipe":
-        read_end, stdout = os.pipe()
-        os.close(read_end)
-    else:
-        stdout = os.open("/dev/full", os.O_WRONLY)
+    stdout = unwritable(target)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "ucrga", *argv],
-            env=env,
+            env=buffering_env(unbuffered),
             stdout=stdout,
             stderr=subprocess.PIPE,
             text=True,
@@ -838,6 +854,59 @@ def test_closed_stdout_exits_1_when_the_buffered_report_is_flushed(argv, unbuffe
     assert proc.stderr.startswith("error: cannot write output:")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+# a failed stderr line cannot be reported anywhere, so it moves no exit code
+# and no stdout byte
+STDERR_FAILURES = [
+    (["compute", "--input", "no/such.csv"], EXIT_INPUT),
+    (["check", "--input", ONES_CSV, "--method", "strict"], EXIT_SINGULAR),
+    (["check", "--input", STACKED_CSV, "--method", "all", "--output", "json"], EXIT_PROPERTY),
+]
+STDERR_FAILURE_IDS = ["missing-input", "strict-on-singular", "all-skips-strict"]
+
+
+@pytest.mark.parametrize("target", ["closed-pipe", "dev-full"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, expected", STDERR_FAILURES, ids=STDERR_FAILURE_IDS)
+def test_unwritable_stderr_keeps_the_documented_exit_code(argv, expected, unbuffered, target):
+    stderr = unwritable(target)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ucrga", *argv],
+            env=buffering_env(unbuffered),
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(stderr)
+    assert proc.returncode == expected
+    if expected == EXIT_PROPERTY:
+        assert [r["method"] for r in json.loads(proc.stdout)] == ["mp", "uc"]
+    else:
+        assert proc.stdout == ""
+
+
+class FullStream(io.TextIOBase):
+    """A text stream on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [*STDERR_FAILURES, (["--bogus"], EXIT_INPUT)],
+    ids=[*STDERR_FAILURE_IDS, "usage-error"],
+)
+def test_main_returns_its_code_when_stderr_cannot_be_written(monkeypatch, capsys, argv, expected):
+    assert main(argv) == expected
+    out = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stderr", FullStream())
+    assert main(argv) == expected
+    assert capsys.readouterr().out == out
 
 
 def test_importing_the_cli_loads_no_dataclasses_beyond_numpys():
