@@ -140,7 +140,7 @@ class PropertyReport(NamedTuple):
 
 def _route(x: np.ndarray, method: str, decomposition: ScalingDecomposition | None) -> RgaResult:
     """x * pinv(x).T, the RGA every route computes, from :func:`scaled_pinv`."""
-    x, x_pinv, exponent, rank = scaled_pinv(x)
+    x, x_pinv, exponent, rank = scaled_pinv(x, overwrite_a=decomposition is None)
     rga = x * x_pinv.T
     return RgaResult(
         rga=rga,

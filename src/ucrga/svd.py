@@ -20,17 +20,20 @@ __all__ = [
 RANK_TOL = 1e-12
 
 
-def scaled_pinv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+def scaled_pinv(a: np.ndarray, *, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray, int, int]:
     """(x, pinv(x), k, rank used) for a matrix ``a`` as :func:`as_matrix`
     returns it and x = a / 2**k, k the binary exponent of max|a|: the exact
     scaling puts max|x| in [0.5, 1), so x factors and inverts at any magnitude,
     and pinv(a) = pinv(x) / 2**k is left to the caller, who may not need it
-    where it overflows. x is fresh, so it is factored without a further copy.
+    where it overflows.
+
+    ``overwrite_a`` scales a in place and returns it as x: ``rga._route`` sets it
+    for the MP route's own copy of g, never for the balanced core a UC result keeps.
 
     Raises numpy's LinAlgError, a ValueError, if the SVD does not converge.
     """
-    k = int(np.frexp(np.abs(a).max())[1])
-    x = np.ldexp(a, -k)
+    k = int(np.frexp(max(a.max(), -a.min()))[1])
+    x = np.ldexp(a, -k, out=a if overwrite_a else None)
     m, n = x.shape
     # LAPACK reduces a tall matrix by QR and a wide one by LQ, and the QR path
     # is the faster, so a wide x is factored through x.T
@@ -41,4 +44,4 @@ def scaled_pinv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     keep = sigma > RANK_TOL * sigma[0] * max(m, n)
     inverted = np.zeros(sigma.size)
     inverted[keep] = 1.0 / sigma[keep]
-    return x, (v * inverted) @ u.T, k, int(np.count_nonzero(keep))
+    return x, np.multiply(v, inverted, out=v) @ u.T, k, int(np.count_nonzero(keep))

@@ -1,6 +1,7 @@
 """Tests for the three RGA routes and their structural properties."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import ucrga.rga as rga_module
 from ucrga import pinv, uc_inverse
+from ucrga.balance import balance
 from ucrga.matrix import DimensionError, permute
 from ucrga.rga import (
     SingularMatrixError,
@@ -21,7 +23,9 @@ from ucrga.rga import (
     rga_summary,
     rga_uc,
     scaling_invariance_residual,
+    uc_consistency_residual,
 )
+from ucrga.svd import scaled_pinv
 
 from exact import exact_inverse, exact_rga, exact_uc_of_product, exact_uc_rga
 from golden import (
@@ -816,3 +820,83 @@ def test_scaling_flips_mp_but_not_uc():
         assert moved(g, "uc", d, e) <= 1e-7
         if r < min(g.shape):
             assert moved(g, "mp", d, e) > 1e-2
+
+
+# ----------------------------------------------------- inputs and allocation
+
+_alloc_rng = np.random.default_rng(4242)
+# float64 C-contiguous plants, as a caller most often holds them
+UNTOUCHED_PLANTS = {
+    "wide": _alloc_rng.standard_normal((4, 7)),
+    "tall": _alloc_rng.standard_normal((7, 4)),
+    "square": _alloc_rng.standard_normal((5, 5)),
+    "rank_deficient": np.vstack(
+        [_alloc_rng.standard_normal((4, 2)) @ _alloc_rng.standard_normal((2, 5)), np.zeros((1, 5))]
+    ),
+    "huge": np.ldexp(_alloc_rng.standard_normal((3, 6)), 1000),
+}
+
+
+def _routes(g):
+    return rga_routes(g, ("mp", "uc"))
+
+
+def _reversed(g):
+    return np.arange(g.shape[0])[::-1], np.arange(g.shape[1])[::-1]
+
+
+# every public entry point that takes a matrix, called on (g, d, e)
+ENTRY_POINTS = {
+    "rga_mp": lambda g, d, e: rga_mp(g),
+    "rga_uc": lambda g, d, e: rga_uc(g),
+    "rga_strict": lambda g, d, e: rga_strict(g),
+    "rga_routes": lambda g, d, e: _routes(g),
+    "pinv": lambda g, d, e: pinv(g),
+    "uc_inverse": lambda g, d, e: uc_inverse(g),
+    "balance": lambda g, d, e: balance(g),
+    "scaling_invariance_residual": lambda g, d, e: scaling_invariance_residual(g, _routes(g), d, e),
+    "property_reports": lambda g, d, e: property_reports(g, _routes(g), _reversed(g), d, e),
+    "uc_consistency_residual": lambda g, d, e: uc_consistency_residual(g, d, e),
+    "scaled_pinv": lambda g, d, e: scaled_pinv(g),
+}
+
+
+@pytest.mark.parametrize("plant", list(UNTOUCHED_PLANTS))
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_entry_points_leave_their_input_unchanged(name, plant):
+    # the MP route scales its own copy of g in place; no call may reach the
+    # caller's array, nor its scalings, down to the sign of a zero
+    g = UNTOUCHED_PLANTS[plant].copy()
+    rng = np.random.default_rng(5)
+    d, e = log_uniform(rng, g.shape[0], 1e-3, 1e3), log_uniform(rng, g.shape[1], 1e-3, 1e3)
+    before = [a.tobytes() for a in (g, d, e)]
+    try:
+        ENTRY_POINTS[name](g, d, e)
+    except (DimensionError, SingularMatrixError):
+        assert name == "rga_strict"
+    assert [a.tobytes() for a in (g, d, e)] == before
+
+
+@pytest.mark.parametrize(
+    ("shape", "budget"),
+    [((30, 1000), 0.5), ((1000, 30), 0.5), ((60, 60), 1.25)],
+    ids=["wide", "tall", "square"],
+)
+@pytest.mark.parametrize("route", [rga_mp, rga_uc], ids=["mp", "uc"])
+def test_each_route_allocates_only_what_its_result_keeps(route, shape, budget):
+    # the traced peak of a route may exceed what its result keeps only by
+    # numpy's SVD factors: a wide or tall plant's large factor is freed before
+    # the RGA is allocated, while a square plant's two n-by-n factors are both
+    # live when pinv(x) is formed. Each scratch copy of g (np.abs for the
+    # scale, MP's unscaled input beside x, v * inverted) adds g.nbytes
+    g = np.random.default_rng(41).standard_normal(shape)
+    route(g)  # first-call caches are not the route's
+    tracemalloc.start()
+    try:
+        result = route(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fields = (*result, *(result.decomposition or ()))
+    kept = {id(a): a.nbytes for a in fields if isinstance(a, np.ndarray)}
+    assert peak - sum(kept.values()) <= budget * g.nbytes
