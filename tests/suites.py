@@ -26,6 +26,17 @@ def rank_controlled_suite(count=SUITE_COUNT, seed=SUITE_SEED, max_rows=6, max_co
     return suite
 
 
+def with_singular_values(shape, sigma, seed):
+    """qa @ diag(sigma) @ qb.T for an m x n ``shape``, qa and qb the
+    orthonormal Q factors of Gaussian m x r and n x r draws, r = len(sigma):
+    a plant whose singular values are sigma to rounding, and zero past r."""
+    rng = np.random.default_rng(seed)
+    (m, n), r = shape, len(sigma)
+    qa = np.linalg.qr(rng.standard_normal((m, r)))[0]
+    qb = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    return (qa * sigma) @ qb.T
+
+
 def log_uniform(rng, size, low=1e-6, high=1e6):
     """Positive scale factors with log-uniform magnitude in [low, high]."""
     return np.exp(rng.uniform(np.log(low), np.log(high), size))

@@ -686,14 +686,21 @@ def test_rescaled_copy_beyond_float64_exits_1_whatever_the_seed(tmp_path, capsys
 
 
 def test_svd_nonconvergence_exits_1_with_one_error_line(monkeypatch, capsys):
+    # the square plant is factored by the SVD, the full-rank 3x6 one through
+    # its Gram matrix's eigendecomposition
     def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError(message)
 
-    monkeypatch.setattr(np.linalg, "svd", failing)
-    assert main(["compute", "--input", PLANT_CSV]) == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: SVD did not converge\n"
+    for name, path, message in (
+        ("svd", PLANT_CSV, "SVD did not converge"),
+        ("eigh", STACKED_CSV, "Eigenvalues did not converge"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, name, failing)
+            assert main(["compute", "--input", path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

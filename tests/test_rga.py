@@ -41,7 +41,13 @@ from golden import (
     UNCONVERGED_BIDIAGONAL,
 )
 from reference_impl import reference_uc_rga
-from suites import log_uniform, rank_controlled_suite, scaling_pairs_for, sparse_suite
+from suites import (
+    log_uniform,
+    rank_controlled_suite,
+    scaling_pairs_for,
+    sparse_suite,
+    with_singular_values,
+)
 
 SUITE = rank_controlled_suite()
 SPARSE = sparse_suite()
@@ -337,6 +343,46 @@ def test_uc_matches_the_exact_uc_rga_of_sparse_rectangular_plants(case):
     assert result.numerical_rank == min(g.shape)
     expected = np.array([[float(x) for x in row] for row in exact])
     assert np.abs(result.rga - expected).max() <= 1e-9 * max(1.0, float(largest))
+
+
+def exact_mp_rga(g):
+    """g * pinv(g).T of a full-rank g, a list of rows of floats, as a list of
+    rows of Fractions: pinv(g).T is inv(g @ g.T) @ g for a wide g, and a tall
+    g is the transpose of its wide transpose's."""
+    if len(g) > len(g[0]):
+        return [list(column) for column in zip(*exact_mp_rga([list(c) for c in zip(*g)]))]
+    f = [[Fraction(x) for x in row] for row in g]
+    gram_inverse = exact_inverse([[sum(p * q for p, q in zip(a, b)) for b in f] for a in f])
+    return [
+        [x * sum(h * row[j] for h, row in zip(inverse_row, f)) for j, x in enumerate(g_row)]
+        for g_row, inverse_row in zip(f, gram_inverse)
+    ]
+
+
+# c in the exact-oracle bound below, c * u * kappa * max(1, max|lambda|), kappa
+# the condition number of the matrix a route factors. With every plant below
+# factored by the SVD, the worst is 13.4 (uc, where balancing rounds the core)
+# and 4.0 (mp); with the Gram path taking the plants it certifies, 3.8 and 2.4
+EXACT_ERROR_FACTOR = 16
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e1, 1e2, 9e2, 3e3, 1e5])
+@pytest.mark.parametrize("shape", [(4, 7), (7, 4), (3, 12)], ids=["4x7", "7x4", "3x12"])
+def test_rectangular_routes_match_the_exact_rga_within_their_condition(shape, kappa):
+    # rga_mp factors g, so the Gram path takes its plants up to kappa = 9e2
+    # and the SVD the rest; rga_uc factors the balanced core, of another
+    # kappa. One bound holds both paths: the Newton-Schulz step brings the
+    # Gram inverse's kappa**2 u error down to the SVD's
+    for seed in range(15):
+        g = with_singular_values(shape, np.geomspace(1.0, 1.0 / kappa, min(shape)), seed)
+        for route, oracle in ((rga_mp, exact_mp_rga), (rga_uc, lambda g: exact_uc_rga(g, 60))):
+            result = route(g)
+            assert result.numerical_rank == min(shape)
+            expected = np.array([[float(x) for x in row] for row in oracle(g.tolist())])
+            sigma = np.linalg.svd(result.x, compute_uv=False)
+            bound = EXACT_ERROR_FACTOR * np.finfo(float).eps / 2 * sigma[0] / sigma[-1]
+            error = np.abs(result.rga - expected).max()
+            assert error <= bound * max(1.0, np.abs(expected).max()), (route.__name__, seed)
 
 
 def wide_range_staircase_40x41():
@@ -878,18 +924,33 @@ def test_entry_points_leave_their_input_unchanged(name, plant):
 
 
 @pytest.mark.parametrize(
-    ("shape", "budget"),
-    [((30, 1000), 0.5), ((1000, 30), 0.5), ((60, 60), 1.25)],
-    ids=["wide", "tall", "square"],
+    ("shape", "rank", "budget"),
+    [
+        ((30, 1000), None, 0.5),
+        ((1000, 30), None, 0.5),
+        ((60, 60), None, 1.25),
+        ((30, 1000), 20, 0.5),
+        ((1000, 30), 20, 0.5),
+        ((40, 50), 3, 1.25),
+        ((50, 40), 3, 1.25),
+    ],
+    ids=["wide", "tall", "square", "wide-rank20", "tall-rank20", "wide-rank3", "tall-rank3"],
 )
 @pytest.mark.parametrize("route", [rga_mp, rga_uc], ids=["mp", "uc"])
-def test_each_route_allocates_only_what_its_result_keeps(route, shape, budget):
+def test_each_route_allocates_only_what_its_result_keeps(route, shape, rank, budget):
     # the traced peak of a route may exceed what its result keeps only by
-    # numpy's SVD factors: a wide or tall plant's large factor is freed before
-    # the RGA is allocated, while a square plant's two n-by-n factors are both
+    # its factors: a full-rank wide or tall plant's Gram step is freed before
+    # the RGA is allocated, a rank-deficient one's SVD keeps its large factor
+    # only until then, while a square plant's two n-by-n factors are both
     # live when pinv(x) is formed. Each scratch copy of g (np.abs for the
-    # scale, MP's unscaled input beside x, v * inverted) adds g.nbytes
-    g = np.random.default_rng(41).standard_normal(shape)
+    # scale, MP's unscaled input beside x, v * inverted) adds g.nbytes, and
+    # so, on the rank-3 plants, does keeping the Gram matrix or its
+    # eigenvectors through the SVD
+    rng = np.random.default_rng(41)
+    if rank is None:
+        g = rng.standard_normal(shape)
+    else:
+        g = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
     route(g)  # first-call caches are not the route's
     tracemalloc.start()
     try:

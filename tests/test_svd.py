@@ -4,21 +4,38 @@ import numpy as np
 import pytest
 
 from ucrga import pinv
-from ucrga.svd import RANK_TOL, scaled_pinv
+from ucrga.svd import GRAM_TOL, RANK_TOL, scaled_pinv
 
 from golden import PLANT, STACKED_PLANT, COLUMN_FACTORS, RESCALED_PLANT
-from suites import rank_controlled_suite
+from suites import rank_controlled_suite, with_singular_values
 
 # shapes up to 8x8, rectangular and rank-deficient included
 SVD_SUITE = rank_controlled_suite(count=200, seed=99, max_rows=8, max_cols=8)
 
-# wide input is factored through its transpose, so wide, single-row and
-# single-column shapes are held to the same contract
+# full-rank rectangular input is inverted through the Gram matrix of its
+# short side, so wide, single-row and single-column shapes are held to the
+# same contract as the square shapes the SVD factors
 _rng = np.random.default_rng(2000)
 LONG_SHAPES = [
     _rng.standard_normal(shape)
     for shape in ((30, 1000), (50, 2000), (1, 9), (1, 1000), (9, 1), (1000, 1))
 ]
+
+# (plant, whether the Gram path takes it): the Gram matrix's eigenvalue ratio
+# is 1 / kappa**2, inside GRAM_TOL at kappa = 9e2 and outside it at 3e3; a
+# rank-deficient plant is always outside it
+_gate_rng = np.random.default_rng(2002)
+_KAPPA_900, _KAPPA_3000 = np.geomspace(1.0, 1.0 / 9e2, 6), np.geomspace(1.0, 1.0 / 3e3, 6)
+GATE_PLANTS = {
+    "wide-kappa900": (with_singular_values((6, 20), _KAPPA_900, 0), True),
+    "tall-kappa900": (with_singular_values((20, 6), _KAPPA_900, 1), True),
+    "wide-kappa3000": (with_singular_values((6, 20), _KAPPA_3000, 0), False),
+    "tall-kappa3000": (with_singular_values((20, 6), _KAPPA_3000, 1), False),
+    "wide-rank3": (with_singular_values((6, 20), [1.0, 0.5, 0.1], 3), False),
+    "tall-rank3": (with_singular_values((20, 6), [1.0, 0.5, 0.1], 4), False),
+    "row-1x9": (_gate_rng.standard_normal((1, 9)), True),
+    "column-9x1": (_gate_rng.standard_normal((9, 1)), True),
+}
 
 _overwrite_rng = np.random.default_rng(2001)
 OVERWRITE_PLANTS = {
@@ -124,6 +141,36 @@ def test_factor_invariants_on_suite():
         sigma = np.linalg.svd(x, compute_uv=False)
         assert type(r) is int
         assert r == np.count_nonzero(sigma > RANK_TOL * sigma[0] * max(g.shape)) == expected
+
+
+@pytest.mark.parametrize("name", list(GATE_PLANTS))
+def test_rank_is_the_svd_count_on_both_sides_of_the_gram_gate(name):
+    g, certified = GATE_PLANTS[name]
+    x, _, _, r = scaled_pinv(g)
+    sigma = np.linalg.svd(x, compute_uv=False)
+    assert r == np.count_nonzero(sigma > RANK_TOL * sigma[0] * max(g.shape))
+    assert r == (3 if name.endswith("rank3") else min(g.shape))
+    # each plant lies on the side of the gate its label says
+    s = x if x.shape[0] < x.shape[1] else x.T
+    w = np.linalg.eigvalsh(s @ s.T)
+    assert (w[0] > GRAM_TOL * w[-1]) == certified
+
+
+@pytest.mark.parametrize("name", list(GATE_PLANTS))
+def test_only_plants_outside_the_gram_gate_reach_the_svd(name, monkeypatch):
+    g, certified = GATE_PLANTS[name]
+    expected = scaled_pinv(g)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    if certified:
+        assert bits(scaled_pinv(g)) == bits(expected)
+        assert expected[3] == min(g.shape)
+    else:
+        with pytest.raises(np.linalg.LinAlgError):
+            scaled_pinv(g)
 
 
 def test_penrose_conditions_on_suite():
