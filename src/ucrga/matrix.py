@@ -3,7 +3,7 @@ permutation.
 
 Matrices are plain 2-D C-ordered float64 numpy arrays. Diagonal scalings are
 1-D arrays of nonzero factors; permutations are 1-D arrays holding a bijection
-of 0..n-1. Every function here is pure and never mutates its arguments.
+of 0..n-1. Every function here is pure; a validator copies only to convert.
 """
 
 import math
@@ -40,10 +40,10 @@ CSV_NUMBER = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 def as_matrix(values) -> np.ndarray:
     """Validate ``values`` as a matrix: 2-D, nonempty, all entries finite.
 
-    Returns a fresh float64 array; NaN and Inf are rejected outright because
-    they would silently corrupt the log-space balancing downstream.
+    Returns ``values`` itself if it is a C-ordered float64 array, else a copy;
+    NaN and Inf are rejected outright: they would corrupt the log-space balancing.
     """
-    a = np.array(values, dtype=float, order="C")
+    a = np.asarray(values, dtype=float, order="C")
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got {a.ndim} dimension(s)")
     if a.shape[0] == 0 or a.shape[1] == 0:
@@ -55,7 +55,8 @@ def as_matrix(values) -> np.ndarray:
 
 def as_scaling(entries, size: int | None = None) -> np.ndarray:
     """Validate a vector of diagonal scale factors: finite and nonzero."""
-    d = np.array(entries, dtype=float).reshape(-1)
+    d = np.asarray(entries, dtype=float, order="C")
+    d = d if d.ndim == 1 else d.reshape(-1)
     if size is not None and d.size != size:
         raise DimensionError(f"scaling has length {d.size}, expected {size}")
     if not np.all(np.isfinite(d)):
@@ -66,13 +67,14 @@ def as_scaling(entries, size: int | None = None) -> np.ndarray:
 
 
 def as_permutation(mapping, size: int | None = None) -> np.ndarray:
-    """Validate an index vector as a bijection on 0..n-1: 1.0 counts as 1, 1.9 as no index."""
-    p = np.asarray(mapping).reshape(-1)
+    """Validate an index vector as a bijection on 0..n-1: 1.0 is 1, 1.9 and True no index."""
+    p = np.asarray(mapping, order="C")
+    p = p if p.ndim == 1 else p.reshape(-1)
     if size is not None and p.size != size:
         raise DimensionError(f"permutation has length {p.size}, expected {size}")
-    if not np.array_equal(np.sort(p), np.arange(p.size)):
+    if p.dtype == bool or not np.array_equal(np.sort(p), np.arange(p.size)):
         raise ValueError("permutation must contain each index 0..n-1 exactly once")
-    return p.astype(int)
+    return p.astype(int, copy=False)
 
 
 def parse_csv(text: str) -> np.ndarray:

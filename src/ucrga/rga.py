@@ -140,7 +140,7 @@ class PropertyReport(NamedTuple):
 
 def _route(x: np.ndarray, method: str, decomposition: ScalingDecomposition | None) -> RgaResult:
     """x * pinv(x).T, the RGA every route computes, from :func:`scaled_pinv`."""
-    x, x_pinv, exponent, rank = scaled_pinv(x, overwrite_a=decomposition is None)
+    x, x_pinv, exponent, rank = scaled_pinv(x)
     rga = x * x_pinv.T
     return RgaResult(
         rga=rga,
@@ -272,7 +272,7 @@ def scaling_invariance_residual(g, base: dict[str, RgaResult], d, e) -> dict[str
     on the copy :func:`_rescaled_copy` forms.
     """
     # an unknown name passes through, for rga_routes to refuse
-    copy = _rescaled_copy(np.asarray(g, dtype=float), d, e)[0]
+    copy = _rescaled_copy(as_matrix(g), d, e)[0]
     scaled = rga_routes(copy, [COMPUTATION.get(method, method) for method in base])
     return {m: relative_change(scaled[COMPUTATION[m]].rga, r.rga) for m, r in base.items()}
 

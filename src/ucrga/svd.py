@@ -25,21 +25,18 @@ RANK_TOL = 1e-12
 GRAM_TOL = 1e-6
 
 
-def scaled_pinv(a: np.ndarray, *, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray, int, int]:
+def scaled_pinv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     """(x, pinv(x), k, rank used) for a matrix ``a`` as :func:`as_matrix`
-    returns it and x = a / 2**k, k the binary exponent of max|a|: the exact
-    scaling puts max|x| in [0.5, 1), so x factors and inverts at any magnitude,
-    and pinv(a) = pinv(x) / 2**k is left to the caller, who may not need it
-    where it overflows.
-
-    ``overwrite_a`` scales a in place and returns it as x: ``rga._route`` sets it
-    for the MP route's own copy of g, never for the balanced core a UC result keeps.
+    returns it and x = a / 2**k, a new array, k the binary exponent of max|a|:
+    the exact scaling puts max|x| in [0.5, 1), so x factors and inverts at any
+    magnitude, and pinv(a) = pinv(x) / 2**k is left to the caller, who may not
+    need it where it overflows.
 
     Raises numpy's LinAlgError, a ValueError, if the SVD or eigendecomposition
     does not converge.
     """
     k = int(np.frexp(max(a.max(), -a.min()))[1])
-    x = np.ldexp(a, -k, out=a if overwrite_a else None)
+    x = np.ldexp(a, -k)
     m, n = x.shape
     wide = m < n
     if m != n:

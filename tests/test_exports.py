@@ -40,3 +40,22 @@ def test_no_exported_function_takes_a_numerical_knob():
             if inspect.isfunction(function):
                 knobs = [p for p in inspect.signature(function).parameters if knob.fullmatch(p)]
                 assert knobs == [], f"{module.__name__}.{name} takes {knobs}"
+
+
+def test_no_exported_callable_takes_an_option():
+    # a keyword-only parameter or a bool default is a switch on how a function
+    # works; size=None and main(argv=None) are inputs, not options. An
+    # exception class takes what Python's own exceptions take
+    for module in (ucrga, *MODULES):
+        for name in getattr(module, "__all__", ()):
+            function = getattr(module, name)
+            exception = inspect.isclass(function) and issubclass(function, Exception)
+            if not callable(function) or exception:
+                continue
+            parameters = inspect.signature(function).parameters.values()
+            options = [
+                p.name
+                for p in parameters
+                if p.kind is p.KEYWORD_ONLY or isinstance(p.default, bool)
+            ]
+            assert options == [], f"{module.__name__}.{name} takes {options}"

@@ -30,6 +30,41 @@ def test_as_matrix_accepts_lists():
     assert a.shape == (2, 2)
 
 
+_ROWS = np.arange(1.0, 25.0).reshape(4, 6)
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize(
+    "values",
+    [_ROWS.copy(), _read_only(_ROWS.copy()), _ROWS[1:3]],
+    ids=["float64", "read-only", "row-slice"],
+)
+def test_as_matrix_returns_a_valid_array_itself(values):
+    assert as_matrix(values) is values
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _ROWS.tolist(),
+        _ROWS.astype(int),
+        _ROWS.astype(np.float32),
+        np.asfortranarray(_ROWS),
+        _ROWS[::2, ::3],
+    ],
+    ids=["list", "int", "float32", "fortran", "strided"],
+)
+def test_as_matrix_converts_into_a_new_c_ordered_array(values):
+    a = as_matrix(values)
+    assert a.dtype == np.float64 and a.flags.c_contiguous
+    np.testing.assert_array_equal(a, values)
+    assert not np.shares_memory(a, values)
+
+
 def test_as_matrix_rejects_nan_and_inf():
     with pytest.raises(ValueError, match="finite"):
         as_matrix([[1.0, np.nan]])
@@ -55,6 +90,33 @@ def test_as_scaling_rejects_zero_and_checks_length():
     np.testing.assert_array_equal(as_scaling([2, -3], size=2), [2.0, -3.0])
 
 
+_FACTORS = np.array([2.0, -3.0, 0.5, 7.0])
+
+
+@pytest.mark.parametrize(
+    "entries", [_FACTORS.copy(), _read_only(_FACTORS.copy())], ids=["float64", "read-only"]
+)
+def test_as_scaling_returns_a_valid_array_itself(entries):
+    assert as_scaling(entries, size=4) is entries
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        _FACTORS.tolist(),
+        np.array([2, -3, 1, 7]),
+        _FACTORS.astype(np.float32),
+        np.repeat(_FACTORS, 2)[::2],
+    ],
+    ids=["list", "int", "float32", "strided"],
+)
+def test_as_scaling_converts_into_a_new_c_ordered_array(entries):
+    d = as_scaling(entries, size=4)
+    assert d.dtype == np.float64 and d.flags.c_contiguous
+    np.testing.assert_array_equal(d, entries)
+    assert not np.shares_memory(d, entries)
+
+
 def test_as_permutation_rejects_non_bijection():
     with pytest.raises(ValueError, match="exactly once"):
         as_permutation([0, 0, 2])
@@ -62,9 +124,10 @@ def test_as_permutation_rejects_non_bijection():
         as_permutation([0, 1], size=3)
 
 
-@pytest.mark.parametrize("mapping", [[0.0, 1.9], [0.5, 1.5]])
+@pytest.mark.parametrize("mapping", [[0.0, 1.9], [0.5, 1.5], [True, False]])
 def test_as_permutation_rejects_non_integer_indices(mapping):
-    # a cast to int once truncated these to [0, 1], a silent identity
+    # a cast to int once truncated the first two to [0, 1], a silent identity,
+    # and booleans sort to [0, 1], a silent swap
     with pytest.raises(ValueError, match="exactly once"):
         as_permutation(mapping)
     with pytest.raises(ValueError, match="exactly once"):
@@ -74,6 +137,33 @@ def test_as_permutation_rejects_non_integer_indices(mapping):
 def test_as_permutation_returns_integer_valued_entries_as_ints():
     p = as_permutation([1.0, 0.0])
     assert p.dtype.kind == "i" and p.tolist() == [1, 0]
+
+
+_ORDER = np.array([2, 0, 3, 1])
+
+
+@pytest.mark.parametrize(
+    "mapping", [_ORDER.copy(), _read_only(_ORDER.copy())], ids=["int", "read-only"]
+)
+def test_as_permutation_returns_a_valid_array_itself(mapping):
+    assert as_permutation(mapping, size=4) is mapping
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        _ORDER.tolist(),
+        _ORDER.astype(np.int32),
+        _ORDER.astype(np.float32),
+        np.repeat(_ORDER, 2)[::2],
+    ],
+    ids=["list", "int32", "float32", "strided"],
+)
+def test_as_permutation_converts_into_a_new_c_ordered_array(mapping):
+    p = as_permutation(mapping, size=4)
+    assert p.dtype == int and p.flags.c_contiguous
+    np.testing.assert_array_equal(p, mapping)
+    assert not np.shares_memory(p, mapping)
 
 
 # ----------------------------------------------------------------------- csv

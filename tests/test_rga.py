@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 import ucrga.rga as rga_module
 from ucrga import pinv, uc_inverse
 from ucrga.balance import balance
-from ucrga.matrix import DimensionError, permute
+from ucrga.inverse import check_gi_identities
+from ucrga.matrix import DimensionError, format_csv, matrix_to_json, permute
 from ucrga.rga import (
+    RgaResult,
     SingularMatrixError,
     property_reports,
     rga_mp,
@@ -880,6 +882,8 @@ UNTOUCHED_PLANTS = {
         [_alloc_rng.standard_normal((4, 2)) @ _alloc_rng.standard_normal((2, 5)), np.zeros((1, 5))]
     ),
     "huge": np.ldexp(_alloc_rng.standard_normal((3, 6)), 1000),
+    "all_zero": np.zeros((20, 30)),
+    "all_negative_zero": np.full((3, 4), -0.0),
 }
 
 
@@ -891,36 +895,75 @@ def _reversed(g):
     return np.arange(g.shape[0])[::-1], np.arange(g.shape[1])[::-1]
 
 
-# every public entry point that takes a matrix, called on (g, d, e)
+# every public entry point that takes a matrix, called on (g, base, d, e),
+# base being _routes of g where g is a matrix, of a 4x7 plant where it is not
 ENTRY_POINTS = {
-    "rga_mp": lambda g, d, e: rga_mp(g),
-    "rga_uc": lambda g, d, e: rga_uc(g),
-    "rga_strict": lambda g, d, e: rga_strict(g),
-    "rga_routes": lambda g, d, e: _routes(g),
-    "pinv": lambda g, d, e: pinv(g),
-    "uc_inverse": lambda g, d, e: uc_inverse(g),
-    "balance": lambda g, d, e: balance(g),
-    "scaling_invariance_residual": lambda g, d, e: scaling_invariance_residual(g, _routes(g), d, e),
-    "property_reports": lambda g, d, e: property_reports(g, _routes(g), _reversed(g), d, e),
-    "uc_consistency_residual": lambda g, d, e: uc_consistency_residual(g, d, e),
-    "scaled_pinv": lambda g, d, e: scaled_pinv(g),
+    "rga_mp": lambda g, base, d, e: rga_mp(g),
+    "rga_uc": lambda g, base, d, e: rga_uc(g),
+    "rga_strict": lambda g, base, d, e: rga_strict(g),
+    "rga_routes": lambda g, base, d, e: _routes(g),
+    "pinv": lambda g, base, d, e: pinv(g),
+    "uc_inverse": lambda g, base, d, e: uc_inverse(g),
+    "balance": lambda g, base, d, e: balance(g),
+    "scaling_invariance_residual": lambda g, base, d, e: scaling_invariance_residual(g, base, d, e),
+    "property_reports": lambda g, base, d, e: property_reports(
+        g, base, _reversed(base["mp"].rga), d, e
+    ),
+    "uc_consistency_residual": lambda g, base, d, e: uc_consistency_residual(g, d, e),
+    "check_gi_identities": lambda g, base, d, e: check_gi_identities(g, base["mp"].inverse),
+    "permute": lambda g, base, d, e: permute(g, *_reversed(base["mp"].rga)),
+    "format_csv": lambda g, base, d, e: format_csv(g),
+    "matrix_to_json": lambda g, base, d, e: matrix_to_json(g),
+    "scaled_pinv": lambda g, base, d, e: scaled_pinv(g),
 }
 
 
+def _arrays(value):
+    """Every ndarray a call returned, an RgaResult's ``inverse`` included."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, tuple):
+        if isinstance(value, RgaResult):
+            yield value.inverse
+        for item in value:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
 @pytest.mark.parametrize("plant", list(UNTOUCHED_PLANTS))
 @pytest.mark.parametrize("name", list(ENTRY_POINTS))
-def test_entry_points_leave_their_input_unchanged(name, plant):
-    # the MP route scales its own copy of g in place; no call may reach the
-    # caller's array, nor its scalings, down to the sign of a zero
+def test_entry_points_leave_their_input_unchanged(name, plant, writeable):
+    # no call may write into the caller's arrays, down to the sign of a zero,
+    # nor return an array that shares memory with them
     g = UNTOUCHED_PLANTS[plant].copy()
     rng = np.random.default_rng(5)
     d, e = log_uniform(rng, g.shape[0], 1e-3, 1e3), log_uniform(rng, g.shape[1], 1e-3, 1e3)
+    for a in (g, d, e):
+        a.setflags(write=writeable)
     before = [a.tobytes() for a in (g, d, e)]
     try:
-        ENTRY_POINTS[name](g, d, e)
+        returned = ENTRY_POINTS[name](g, _routes(g), d, e)
     except (DimensionError, SingularMatrixError):
         assert name == "rga_strict"
+        returned = None
     assert [a.tobytes() for a in (g, d, e)] == before
+    assert not any(np.shares_memory(r, a) for r in _arrays(returned) for a in (g, d, e))
+
+
+# scaled_pinv takes a matrix as as_matrix returns it, and validates nothing
+@pytest.mark.parametrize(
+    "g", [np.ones(4), np.zeros((0, 7)), np.ones((4, 7, 2))], ids=["1-D", "no-rows", "3-D"]
+)
+@pytest.mark.parametrize("name", [name for name in ENTRY_POINTS if name != "scaled_pinv"])
+def test_entry_points_refuse_a_non_matrix(name, g):
+    plant = UNTOUCHED_PLANTS["wide"]
+    rng = np.random.default_rng(5)
+    d, e = log_uniform(rng, 4, 1e-3, 1e3), log_uniform(rng, 7, 1e-3, 1e3)
+    with pytest.raises(DimensionError, match="expected a 2-D matrix|at least one row"):
+        ENTRY_POINTS[name](g, _routes(plant), d, e)
 
 
 @pytest.mark.parametrize(
@@ -943,7 +986,7 @@ def test_each_route_allocates_only_what_its_result_keeps(route, shape, rank, bud
     # the RGA is allocated, a rank-deficient one's SVD keeps its large factor
     # only until then, while a square plant's two n-by-n factors are both
     # live when pinv(x) is formed. Each scratch copy of g (np.abs for the
-    # scale, MP's unscaled input beside x, v * inverted) adds g.nbytes, and
+    # scale, a validator's copy of g, v * inverted) adds g.nbytes, and
     # so, on the rank-3 plants, does keeping the Gram matrix or its
     # eigenvectors through the SVD
     rng = np.random.default_rng(41)
