@@ -4,23 +4,16 @@
 
     a = diag(exp(-left_log)) @ core @ diag(exp(-right_log))
 
-where every row and column of ``core`` that contains a nonzero has unit
-geometric mean of its nonzero magnitudes, and ``core`` carries exactly the
-sign pattern of ``a``. (A core too large for float64 at unit geometric
-means is scaled down by 2**-s, which ``left_log`` takes up, so its means are
-all 2**-s instead.) The core is the scale-canonical form of the input:
-rescaling rows or columns of ``a`` changes only the accumulated scale
-vectors, never the core. That canonical property is what the
-unit-consistent inverse is built on.
+where every row and column of ``core`` that contains a nonzero has one
+common geometric mean of its nonzero magnitudes, 1 unless the core must be
+scaled into float64's range, and ``core`` carries exactly the sign pattern of
+``a``. The core is the scale-canonical form of the input: rescaling rows or
+columns of ``a`` changes only the accumulated scale vectors, never the core.
+That canonical property is what the unit-consistent inverse is built on.
 
-When every entry is nonzero, two-way centering of log|a| gives the balance
-in closed form. Otherwise an iteration alternates column centering and row
-centering of log|a| over the nonzero support, accumulating the shifts into
-the scale vectors. The iteration holds only the list of nonzeros (their
-positions and log magnitudes), so each sweep costs O(nnz) rather than
-O(mn). Working on logarithms is the entire numerical point:
-magnitudes spanning hundreds of orders of magnitude are just moderate-sized
-logs, and exp is applied once at the end.
+Working on logarithms is the entire numerical point: magnitudes spanning
+hundreds of orders of magnitude are just moderate-sized logs, and exp is
+applied once at the end.
 """
 
 from typing import NamedTuple
@@ -51,11 +44,10 @@ class ScalingDecomposition(NamedTuple):
     ``left_log`` and ``right_log`` are the logs of the row/column scale
     factors; they are determined only up to an additive constant traded
     between the two sides, so consumers should rely on the sums
-    ``left_log[i] + right_log[j]``, which are well-defined. ``final_shift``
-    is the last sweep's summed mean absolute correction (the convergence
-    measure), and ``converged`` records whether it reached :data:`BALANCE_TOL`
-    within :data:`MAX_SWEEPS` sweeps. A fully dense matrix balances in closed
-    form, reported as one sweep with zero shift.
+    ``left_log[i] + right_log[j]``, which are well-defined. ``iterations``
+    counts sweeps, ``final_shift`` is the last one's convergence measure,
+    and ``converged`` records whether it reached :data:`BALANCE_TOL` within
+    :data:`MAX_SWEEPS` sweeps.
     """
 
     left_log: np.ndarray
@@ -73,75 +65,79 @@ class ScalingDecomposition(NamedTuple):
 def balance(a) -> ScalingDecomposition:
     """Balance a finite real matrix; see the module docstring for the factorization.
 
-    Each sweep centers the columns first, then the rows; the sweep's shift is
-    the mean absolute column correction plus the mean absolute row correction,
-    and iteration stops once it drops to :data:`BALANCE_TOL`. The number of
-    sweeps is capped at :data:`MAX_SWEEPS`; reaching it is reported via
-    ``converged=False``, not an exception. Both are constants, not
-    parameters, so ``converged=True`` always means the same fixed point.
+    The balance centres log|a| over its support, by rows and by columns.
+    Where every entry is nonzero that has a closed form: ``right_log`` is the
+    negated column means and ``left_log`` the grand mean minus the row means,
+    reported as converged after one sweep with zero shift. Otherwise each
+    sweep centres the columns, then the rows, of the list of nonzeros,
+    gathered once per call, so a sweep costs O(nnz) time and memory; its
+    shift is the mean absolute column correction plus the mean absolute row
+    correction, and iteration stops once it drops to :data:`BALANCE_TOL`.
+    The number of sweeps is capped at :data:`MAX_SWEEPS`; reaching it is
+    reported via ``converged=False``, not an exception. Both are constants,
+    not parameters, so ``converged=True`` always means the same fixed point.
     Rows and columns with no nonzero entries are left untouched, and a mean
-    over an empty selection counts as zero shift, so all-zero input converges
-    immediately. The sweep runs over the list of nonzeros, gathered once per
-    call, so each sweep costs O(nnz) time and memory.
+    over an empty selection counts as zero shift, so all-zero input
+    converges immediately.
 
-    A fully dense matrix takes no sweep: there the fixed point is two-way
-    centering of log|a|, with ``right_log`` the negated column means and
-    ``left_log`` the grand mean minus the row means. It is reported as
-    converged after one sweep with zero shift. In both forms a core too large
-    for float64 is scaled down by a power of two, which ``left_log`` takes up.
+    Either way the core is formed once, from its logs: where exp of the
+    largest would overflow, they are all lowered by s * ln 2, which
+    ``left_log`` takes up, scaling the core by 2**-s.
     """
     a = as_matrix(a)
     m, n = a.shape
     magnitude = np.abs(a)
     support = magnitude > 0.0
     if support.all():
-        logmag = np.log(magnitude, out=magnitude)
-        row_means = logmag.mean(axis=1)
+        logs = np.log(magnitude, out=magnitude)
+        row_means = logs.mean(axis=1)
         left_log = row_means.mean() - row_means
-        right_log = -logmag.mean(axis=0)
-        logmag += left_log[:, None]
-        logmag += right_log
-        _fit_float_range(logmag, left_log)
-        core = np.copysign(np.exp(logmag, out=logmag), a, out=logmag)
-        return ScalingDecomposition(
-            left_log=left_log,
-            right_log=right_log,
-            core=core,
-            converged=True,
-            iterations=1,
-            final_shift=0.0,
-        )
+        right_log = -logs.mean(axis=0)
+        logs += left_log[:, None]
+        logs += right_log
+        iterations, shift = 1, 0.0
+    else:
+        r_idx, c_idx = np.nonzero(support)
+        vals = np.log(magnitude[r_idx, c_idx])
+        row_counts = np.bincount(r_idx, minlength=m)
+        col_counts = np.bincount(c_idx, minlength=n)
+        # a mean over no lines counts as zero shift
+        nonempty_rows = max(int(np.count_nonzero(row_counts)), 1)
+        nonempty_cols = max(int(np.count_nonzero(col_counts)), 1)
+        # empty lines get a zero mean, so their scale factors stay at zero
+        row_counts = np.maximum(row_counts, 1)
+        col_counts = np.maximum(col_counts, 1)
 
-    r_idx, c_idx = np.nonzero(support)
-    vals = np.log(magnitude[r_idx, c_idx])
-    row_counts = np.bincount(r_idx, minlength=m)
-    col_counts = np.bincount(c_idx, minlength=n)
-    # a mean over no lines counts as zero shift
-    nonempty_rows = max(int(np.count_nonzero(row_counts)), 1)
-    nonempty_cols = max(int(np.count_nonzero(col_counts)), 1)
-    # empty lines get a zero mean, so their scale factors stay at zero
-    row_counts = np.maximum(row_counts, 1)
-    col_counts = np.maximum(col_counts, 1)
+        left_log = np.zeros(m)
+        right_log = np.zeros(n)
+        for iterations in range(1, MAX_SWEEPS + 1):
+            col_means = np.bincount(c_idx, vals, n) / col_counts
+            vals -= col_means[c_idx]
+            right_log -= col_means
+            shift = float(np.abs(col_means).sum()) / nonempty_cols
 
-    left_log = np.zeros(m)
-    right_log = np.zeros(n)
-    for iterations in range(1, MAX_SWEEPS + 1):
-        col_means = np.bincount(c_idx, vals, n) / col_counts
-        vals -= col_means[c_idx]
-        right_log -= col_means
-        shift = float(np.abs(col_means).sum()) / nonempty_cols
+            row_means = np.bincount(r_idx, vals, m) / row_counts
+            vals -= row_means[r_idx]
+            left_log -= row_means
+            shift += float(np.abs(row_means).sum()) / nonempty_rows
 
-        row_means = np.bincount(r_idx, vals, m) / row_counts
-        vals -= row_means[r_idx]
-        left_log -= row_means
-        shift += float(np.abs(row_means).sum()) / nonempty_rows
+            if shift <= BALANCE_TOL:
+                break
 
-        if shift <= BALANCE_TOL:
-            break
+        logs = magnitude
+        logs.fill(-np.inf)
+        logs[r_idx, c_idx] = vals
 
-    _fit_float_range(vals, left_log)
-    core = np.zeros((m, n))
-    core[r_idx, c_idx] = np.copysign(np.exp(vals), a[r_idx, c_idx])
+    # s centres the core's log range on 0, or only just fits its largest log
+    # where that range is wider than float64's
+    top = logs.max(initial=-np.inf)
+    if top > LOG_MAX:
+        bottom = logs.min(where=support, initial=np.inf)
+        s = max(np.ceil((top + bottom) / (2 * LN2)), np.ceil((top - LOG_MAX) / LN2))
+        logs -= s * LN2
+        left_log -= s * LN2
+    # off the support exp(-inf) leaves +0.0, which the mask keeps from a's -0.0
+    core = np.copysign(np.exp(logs, out=logs), a, out=logs, where=support)
     return ScalingDecomposition(
         left_log=left_log,
         right_log=right_log,
@@ -150,16 +146,3 @@ def balance(a) -> ScalingDecomposition:
         iterations=iterations,
         final_shift=shift,
     )
-
-
-def _fit_float_range(logs: np.ndarray, left_log: np.ndarray) -> None:
-    """Where exp(logs) would overflow, subtract s * ln 2 from ``logs`` and from
-    ``left_log`` in place, which scales the core by 2**-s and leaves
-    ``reconstruct`` and the unit-consistent inverse as they were. s centres
-    the range of ``logs`` on 0, or only just fits the largest one where that
-    range is wider than float64's."""
-    top = logs.max(initial=-np.inf)
-    if top > LOG_MAX:
-        s = max(np.ceil((top + logs.min()) / (2 * LN2)), np.ceil((top - LOG_MAX) / LN2))
-        logs -= s * LN2
-        left_log -= s * LN2

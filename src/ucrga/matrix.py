@@ -54,9 +54,10 @@ def as_matrix(values) -> np.ndarray:
 
 
 def as_scaling(entries, size: int | None = None) -> np.ndarray:
-    """Validate a vector of diagonal scale factors: finite and nonzero."""
+    """Validate a vector of diagonal scale factors: 1-D, finite and nonzero."""
     d = np.asarray(entries, dtype=float, order="C")
-    d = d if d.ndim == 1 else d.reshape(-1)
+    if d.ndim != 1:
+        raise DimensionError(f"expected a 1-D scaling, got {d.ndim} dimension(s)")
     if size is not None and d.size != size:
         raise DimensionError(f"scaling has length {d.size}, expected {size}")
     if not np.all(np.isfinite(d)):
@@ -67,12 +68,18 @@ def as_scaling(entries, size: int | None = None) -> np.ndarray:
 
 
 def as_permutation(mapping, size: int | None = None) -> np.ndarray:
-    """Validate an index vector as a bijection on 0..n-1: 1.0 is 1, 1.9 and True no index."""
+    """Validate a 1-D index vector as a bijection on 0..n-1: 1.0 is 1, 1.9 and True no index."""
     p = np.asarray(mapping, order="C")
-    p = p if p.ndim == 1 else p.reshape(-1)
+    if p.ndim != 1:
+        raise DimensionError(f"expected a 1-D permutation, got {p.ndim} dimension(s)")
     if size is not None and p.size != size:
         raise DimensionError(f"permutation has length {p.size}, expected {size}")
-    if p.dtype == bool or not np.array_equal(np.sort(p), np.arange(p.size)):
+    # numpy casts a list that mixes booleans and ints to int, so a list's items are read
+    booleans = p.dtype == bool or (
+        not isinstance(mapping, np.ndarray)
+        and any(isinstance(i, (bool, np.bool_)) for i in mapping)
+    )
+    if booleans or not np.array_equal(np.sort(p), np.arange(p.size)):
         raise ValueError("permutation must contain each index 0..n-1 exactly once")
     return p.astype(int, copy=False)
 

@@ -218,6 +218,8 @@ def uc_consistency_residual(a, d, e) -> float:
     its relative max-abs difference from uc_inverse(a). Zero in exact
     arithmetic for any nonsingular diagonal scalings; the same construction
     with the Moore-Penrose inverse substituted is violated by order one.
+    NaN where uc_inverse(a) itself overflows, with numpy's overflow and
+    invalid-value warnings (say, on [[5e-324, 0], [0, 1]]).
     """
     a = as_matrix(a)
     rescaled, shift = _rescaled_copy(a, d, e)

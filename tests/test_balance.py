@@ -5,6 +5,7 @@ import pytest
 
 from ucrga.balance import MAX_SWEEPS, balance
 from ucrga.matrix import permute
+from ucrga.rga import rga_uc
 
 from golden import SCALED_ONES3, UNCONVERGED_BIDIAGONAL
 from reference_impl import reference_uc_rga
@@ -176,16 +177,15 @@ CORE_BEYOND_FLOAT = np.array(
 )
 
 
-@pytest.mark.parametrize(
-    "a",
-    [
-        np.array([[1e200, 1.0], [1.0, 1e-200]]),
-        CORE_BEYOND_FLOAT,
-        # a zero entry, so the sweep forms the core
-        np.hstack([CORE_BEYOND_FLOAT, np.zeros((3, 1))]),
-    ],
-    ids=["1e+-200", "core-beyond-float", "core-beyond-float-sweep"],
-)
+EXTREME_RANGE = {
+    "1e+-200": np.array([[1e200, 1.0], [1.0, 1e-200]]),
+    "core-beyond-float": CORE_BEYOND_FLOAT,
+    # a zero entry, so the sweep forms the core
+    "core-beyond-float-sweep": np.hstack([CORE_BEYOND_FLOAT, np.zeros((3, 1))]),
+}
+
+
+@pytest.mark.parametrize("a", list(EXTREME_RANGE.values()), ids=list(EXTREME_RANGE))
 def test_extreme_dynamic_range_survives_log_space(a):
     with np.errstate(over="raise"):
         dec = balance(a)
@@ -198,6 +198,30 @@ def test_extreme_dynamic_range_survives_log_space(a):
     logs = np.log(np.abs(dec.core[:, :3]))
     means = np.concatenate([logs.mean(axis=0), logs.mean(axis=1)])
     assert np.ptp(means) <= 1e-12 * np.abs(logs).max()
+
+
+@pytest.mark.parametrize("a", list(EXTREME_RANGE.values()), ids=list(EXTREME_RANGE))
+def test_sweep_and_closed_form_fit_one_core_into_float64(a):
+    # a zero column sends a plant through the sweep and leaves its block's
+    # balance as it was, so the float-range fit, whose centring runs over the
+    # support alone, must scale both cores by the same power of two
+    m, n = a.shape
+    with np.errstate(over="raise"):
+        swept = balance(np.hstack([a, np.zeros((m, 1))]))
+    np.testing.assert_allclose(swept.core[:, :n], balance(a).core, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(swept.core[:, n], 0.0)
+
+
+def test_core_is_positive_zero_off_the_support():
+    # the core takes a's signs on the support only: a -0.0 in a would write
+    # a -0.0 into the core, which flips LAPACK's Householder sign choices
+    g = SPARSE["row_1x9"]
+    twin = np.where(g == 0, 0.0, g)
+    assert np.signbit(g[g == 0]).any() and not np.signbit(twin[twin == 0]).any()
+    core = balance(g).core
+    assert not np.signbit(core[g == 0]).any()
+    assert balance(twin).core.tobytes() == core.tobytes()
+    assert rga_uc(g).rga.tobytes() == rga_uc(twin).rga.tobytes()
 
 
 def test_parameter_validation():

@@ -87,6 +87,11 @@ def test_as_scaling_rejects_zero_and_checks_length():
             as_scaling([1.0, bad])
     with pytest.raises(DimensionError):
         as_scaling([1.0, 2.0], size=3)
+    # a nested vector is refused, not flattened
+    with pytest.raises(DimensionError, match="1-D"):
+        as_scaling([[1.0, 2.0], [3.0, 4.0]], size=4)
+    with pytest.raises(DimensionError, match="1-D"):
+        as_scaling(3.0)
     np.testing.assert_array_equal(as_scaling([2, -3], size=2), [2.0, -3.0])
 
 
@@ -122,12 +127,17 @@ def test_as_permutation_rejects_non_bijection():
         as_permutation([0, 0, 2])
     with pytest.raises(DimensionError):
         as_permutation([0, 1], size=3)
+    with pytest.raises(DimensionError, match="1-D"):
+        as_permutation([[1, 0]], size=2)
+    with pytest.raises(DimensionError, match="1-D"):
+        as_permutation(np.eye(2, dtype=int))
 
 
-@pytest.mark.parametrize("mapping", [[0.0, 1.9], [0.5, 1.5], [True, False]])
+@pytest.mark.parametrize("mapping", [[0.0, 1.9], [0.5, 1.5], [True, False], [True, 0]])
 def test_as_permutation_rejects_non_integer_indices(mapping):
     # a cast to int once truncated the first two to [0, 1], a silent identity,
-    # and booleans sort to [0, 1], a silent swap
+    # and booleans sort to [0, 1], a silent swap, also where numpy casts a
+    # list mixing booleans and ints to int
     with pytest.raises(ValueError, match="exactly once"):
         as_permutation(mapping)
     with pytest.raises(ValueError, match="exactly once"):

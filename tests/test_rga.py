@@ -966,21 +966,57 @@ def test_entry_points_refuse_a_non_matrix(name, g):
         ENTRY_POINTS[name](g, _routes(plant), d, e)
 
 
+# every entry point that takes d, e or an order, called on the 4x7 plant with
+# one of them nested into two dimensions
+NESTED_VECTORS = {
+    "permute": lambda g, base, d, e: permute(g, [np.arange(4)], np.arange(7)),
+    "scaling_invariance_residual": lambda g, base, d, e: scaling_invariance_residual(
+        g, base, d[None, :], e
+    ),
+    "property_reports": lambda g, base, d, e: property_reports(
+        g, base, (np.arange(4), np.arange(7)[:, None]), d, e
+    ),
+    "uc_consistency_residual": lambda g, base, d, e: uc_consistency_residual(g, d, e[:, None]),
+}
+
+
+@pytest.mark.parametrize("name", list(NESTED_VECTORS))
+def test_entry_points_refuse_a_nested_scaling_or_order(name):
+    # a nested vector of the right size was once flattened without a word
+    g = UNTOUCHED_PLANTS["wide"]
+    rng = np.random.default_rng(5)
+    d, e = log_uniform(rng, 4, 1e-3, 1e3), log_uniform(rng, 7, 1e-3, 1e3)
+    with pytest.raises(DimensionError, match="expected a 1-D"):
+        NESTED_VECTORS[name](g, _routes(g), d, e)
+
+
 @pytest.mark.parametrize(
-    ("shape", "rank", "budget"),
+    ("shape", "rank", "zeros", "budget"),
     [
-        ((30, 1000), None, 0.5),
-        ((1000, 30), None, 0.5),
-        ((60, 60), None, 1.25),
-        ((30, 1000), 20, 0.5),
-        ((1000, 30), 20, 0.5),
-        ((40, 50), 3, 1.25),
-        ((50, 40), 3, 1.25),
+        ((30, 1000), None, 0.0, 0.5),
+        ((1000, 30), None, 0.0, 0.5),
+        ((60, 60), None, 0.0, 1.25),
+        ((30, 1000), 20, 0.0, 0.5),
+        ((1000, 30), 20, 0.0, 0.5),
+        ((40, 50), 3, 0.0, 1.25),
+        ((50, 40), 3, 0.0, 1.25),
+        ((30, 1000), None, 0.5, 0.5),
+        ((1000, 30), None, 0.5, 0.5),
     ],
-    ids=["wide", "tall", "square", "wide-rank20", "tall-rank20", "wide-rank3", "tall-rank3"],
+    ids=[
+        "wide",
+        "tall",
+        "square",
+        "wide-rank20",
+        "tall-rank20",
+        "wide-rank3",
+        "tall-rank3",
+        "wide-half-zero",
+        "tall-half-zero",
+    ],
 )
 @pytest.mark.parametrize("route", [rga_mp, rga_uc], ids=["mp", "uc"])
-def test_each_route_allocates_only_what_its_result_keeps(route, shape, rank, budget):
+def test_each_route_allocates_only_what_its_result_keeps(route, shape, rank, zeros, budget):
     # the traced peak of a route may exceed what its result keeps only by
     # its factors: a full-rank wide or tall plant's Gram step is freed before
     # the RGA is allocated, a rank-deficient one's SVD keeps its large factor
@@ -988,12 +1024,15 @@ def test_each_route_allocates_only_what_its_result_keeps(route, shape, rank, bud
     # live when pinv(x) is formed. Each scratch copy of g (np.abs for the
     # scale, a validator's copy of g, v * inverted) adds g.nbytes, and
     # so, on the rank-3 plants, does keeping the Gram matrix or its
-    # eigenvectors through the SVD
+    # eigenvectors through the SVD. A plant with zeros balances by the sweep,
+    # which forms its core in the buffer of np.abs(g), as the closed form does
     rng = np.random.default_rng(41)
     if rank is None:
         g = rng.standard_normal(shape)
     else:
         g = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    if zeros:
+        g[rng.random(shape) < zeros] = 0.0
     route(g)  # first-call caches are not the route's
     tracemalloc.start()
     try:
